@@ -118,13 +118,12 @@ std::string WorkerBinary() {
 }
 
 // One multi-process run of `world` ranks; fills wall seconds, cleans its logs.
-bool RunTcpWorld(const std::string& worker, int world, bool overlap,
-                 SpawnResult* out, double* wall_s) {
+bool RunTcpWorld(const std::string& worker, int world, SpawnResult* out,
+                 double* wall_s) {
   SpawnOptions options;
   options.worker_binary = worker;
   options.world = world;
-  options.common_args = {"--workload=fig10", "--egeria=1",
-                         overlap ? "--overlap=1" : "--overlap=0"};
+  options.common_args = {"--workload=fig10", "--egeria=1"};
   char tmpl[] = "/tmp/egeria-fig10-XXXXXX";
   if (mkdtemp(tmpl) == nullptr) {
     std::fprintf(stderr, "mkdtemp failed\n");
@@ -141,8 +140,7 @@ bool RunTcpWorld(const std::string& worker, int world, bool overlap,
   unlink((options.log_dir + "/rendezvous").c_str());
   rmdir(options.log_dir.c_str());
   if (!out->ok) {
-    std::fprintf(stderr, "world %d (overlap=%d) failed: %s\n", world,
-                 overlap ? 1 : 0, out->error.c_str());
+    std::fprintf(stderr, "world %d failed: %s\n", world, out->error.c_str());
     return false;
   }
   return true;
@@ -153,61 +151,42 @@ int TcpMain() {
   std::printf("== Figure 10 (measured): egeria_worker processes over the TCP ring ==\n");
   std::printf("Each row is one freeze-frontier segment of a real multi-process training\n"
               "run: measured mean all-reduce seconds per iteration on rank 0's wire,\n"
-              "split into comm HIDDEN behind backward (the bucketed overlap win) and\n"
-              "comm EXPOSED past it, next to the NetworkModel projection for the same\n"
-              "payload. Each world also reruns with --overlap=0 (the sequential round)\n"
-              "to show the wall-clock saving and the bitwise-identical replica hash.\n"
+              "next to the NetworkModel projection for the same payload.\n"
               "(Measured time includes peer skew — a rank blocked on a slower neighbor\n"
               "counts the wait — so tiny payloads bottom out at a latency+skew floor\n"
               "instead of tracking bytes all the way down.)\n");
   const std::string worker = WorkerBinary();
   for (int world : {2, 3, 4}) {
     SpawnResult run;
-    SpawnResult seq;
-    double wall_overlap = 0.0;
-    double wall_seq = 0.0;
-    if (!RunTcpWorld(worker, world, /*overlap=*/true, &run, &wall_overlap) ||
-        !RunTcpWorld(worker, world, /*overlap=*/false, &seq, &wall_seq)) {
+    double wall = 0.0;
+    if (!RunTcpWorld(worker, world, &run, &wall)) {
       return 1;
     }
     ClusterConfig cluster;
     cluster.num_nodes = world;
     cluster.gpus_per_node = 1;
     NetworkModel net(cluster);
-    std::printf("\n-- world %d (%d OS processes, wall %.1fs overlapped / %.1fs sequential) --\n",
-                world, world, wall_overlap, wall_seq);
+    std::printf("\n-- world %d (%d OS processes, wall %.1fs) --\n", world, world, wall);
     Table table({"iter", "frontier", "payload B/iter", "measured allreduce s/iter",
-                 "hidden s/iter", "exposed s/iter", "projected s/iter (net model)"});
+                 "projected s/iter (net model)"});
     for (const auto& ev : run.reshard_timeline) {
       const long long payload = std::atoll(ev.at("payload_bytes").c_str());
       table.AddRow({ev.at("iter"), ev.at("frontier"), std::to_string(payload),
-                    ev.at("allreduce_s_per_iter"), ev.at("comm_hidden_s_per_iter"),
-                    ev.at("comm_exposed_s_per_iter"),
+                    ev.at("allreduce_s_per_iter"),
                     Table::Num(net.AllReduceSeconds(payload), 6)});
     }
     table.Print();
     const auto& r0 = run.rank_results[0];
     std::printf("final frontier %s | replica hash %s | rank0 wire bytes %s | "
-                "total allreduce %ss (hidden %ss, exposed %ss)\n",
+                "total allreduce %ss\n",
                 r0.at("final_frontier").c_str(), r0.at("params_hash").c_str(),
-                r0.at("wire_bytes").c_str(), r0.at("allreduce_seconds").c_str(),
-                r0.at("comm_hidden_seconds").c_str(),
-                r0.at("comm_exposed_seconds").c_str());
+                r0.at("wire_bytes").c_str(), r0.at("allreduce_seconds").c_str());
     bool consistent = true;
     for (const auto& rr : run.rank_results) {
       consistent = consistent && rr.at("params_hash") == r0.at("params_hash");
     }
     std::printf("replicas bitwise-consistent across processes: %s\n",
                 consistent ? "yes" : "NO");
-    const auto& s0 = seq.rank_results[0];
-    const double iters = std::atof(r0.at("iterations").c_str());
-    if (iters > 0) {
-      std::printf("overlap vs sequential: %.4f vs %.4f wall s/iter (%.1f%% faster), "
-                  "weights bitwise-identical: %s\n",
-                  wall_overlap / iters, wall_seq / iters,
-                  100.0 * (1.0 - wall_overlap / wall_seq),
-                  r0.at("params_hash") == s0.at("params_hash") ? "yes" : "NO");
-    }
   }
   return 0;
 }

@@ -3,7 +3,7 @@
 
 Usage:
     bench_trajectory.py TRAJ_JSON BENCH_JSON TABLE2_TXT GIT_SHA
-        [--overlap=FILE] [--fig09=FILE] [--trace=FILE] [--diagnose=FILE]
+        [--fig09=FILE] [--trace=FILE] [--diagnose=FILE]
         [--render=FILE] [--gate] [--check-only]
 
 Parses the google-benchmark JSON report (BM_MatMul{,Fp16,Int8}/256) and the
@@ -26,10 +26,7 @@ A run still implausible on its final recording is written with
 "suspect": true: it stays in the trajectory for forensics but is excluded
 from gate baselines and future medians.
 
-With --overlap=FILE, parses an EGERIA_RESULT line (tools/egeria_worker) for
-comm_hidden_seconds/comm_exposed_seconds — the backward-overlap split of ring
-comm time on a real TCP world — into an "overlap_hidden_comm" record. With
---fig09=FILE, parses a FIG09_SMOKE line (fig09_breakdown --smoke) into a
+With --fig09=FILE, parses a FIG09_SMOKE line (fig09_breakdown --smoke) into a
 "frozen_forward_saved" record: the steady-state frozen-prefix forward seconds
 the feature store eliminated, and the fraction thereof. With --trace=FILE,
 parses an EGERIA_TRACE_SMOKE line (scripts/check.sh's tracing drill) into a
@@ -37,9 +34,8 @@ parses an EGERIA_TRACE_SMOKE line (scripts/check.sh's tracing drill) into a
 TCP smoke (budget: <= 2%, but single-digit noise on a shared host is normal).
 With --diagnose=FILE, parses the EGERIA_DIAGNOSIS line emitted by
 tools/egeria_trace --diagnose into a "diagnosis" record: the bound
-classification, measured overlap_efficiency_pct, and straggler_skew of the
-healthy 2-process trace-smoke run. All are advisory context: shared-host
-timings are too noisy to gate.
+classification and straggler_skew of the healthy 2-process trace-smoke run.
+All are advisory context: shared-host timings are too noisy to gate.
 
 With --render=FILE, additionally writes a markdown before/after summary of the
 recorded entry versus the recent clean baseline window — CI uploads it as an
@@ -99,30 +95,6 @@ def parse_table2(table2_path):
     return smoke
 
 
-def parse_overlap(path):
-    """First EGERIA_RESULT line -> the comm-overlap split of that rank's run."""
-    with open(path) as f:
-        for line in f:
-            if not line.startswith("EGERIA_RESULT"):
-                continue
-            kv = dict(field.partition("=")[::2] for field in line.split()[1:])
-            try:
-                hidden = float(kv.get("comm_hidden_seconds", ""))
-                exposed = float(kv.get("comm_exposed_seconds", ""))
-            except ValueError:
-                continue
-            total = hidden + exposed
-            record = {
-                "comm_hidden_seconds": round(hidden, 6),
-                "comm_exposed_seconds": round(exposed, 6),
-                "hidden_fraction":
-                    round(hidden / total, 4) if total > 0 else 0.0,
-            }
-            print(f"overlap_hidden_comm: {record}")
-            return record
-    return None
-
-
 def parse_fig09(path):
     """First FIG09_SMOKE line -> the feature store's frozen-forward savings."""
     with open(path) as f:
@@ -171,8 +143,8 @@ def parse_diagnose(path):
     """Last EGERIA_DIAGNOSIS line -> the bottleneck-diagnosis advisory record.
 
     The line is machine-readable JSON from tools/egeria_trace --diagnose; the
-    recorded subset is what trends usefully across PRs: the bound class, the
-    measured overlap efficiency, and the straggler skew."""
+    recorded subset is what trends usefully across PRs: the bound class and
+    the straggler skew."""
     record = None
     try:
         f = open(path)
@@ -189,7 +161,6 @@ def parse_diagnose(path):
             record = {
                 "classification": d.get("classification"),
                 "dominant_phase": d.get("dominant_phase"),
-                "overlap_efficiency_pct": d.get("overlap_efficiency_pct"),
                 "straggler_rank": d.get("straggler_rank"),
                 "straggler_skew": d.get("straggler_skew"),
                 "critical_path_s": d.get("critical_path_s"),
@@ -335,10 +306,9 @@ def render_summary(entry, window, path):
             lines.append(f"| {name} | {new:.1f} | no clean baseline | — |")
     advisory = [
         ("table2_smoke", "Table 2 smoke (reference forward per precision)"),
-        ("overlap_hidden_comm", "Backward-overlapped comm split"),
         ("frozen_forward_saved", "Feature store: frozen forward eliminated"),
         ("tracer_overhead", "Span tracer: EGERIA_TRACE=1 wall-time cost"),
-        ("diagnosis", "Trace diagnosis (bound class, overlap, straggler)"),
+        ("diagnosis", "Trace diagnosis (bound class, straggler)"),
     ]
     lines += ["", "## Advisory records", ""]
     for key, title in advisory:
@@ -354,22 +324,19 @@ def render_summary(entry, window, path):
 def main(argv):
     if len(argv) < 5:
         print(f"usage: {argv[0]} TRAJ_JSON BENCH_JSON TABLE2_TXT GIT_SHA "
-              f"[--overlap=FILE] [--fig09=FILE] [--trace=FILE] "
+              f"[--fig09=FILE] [--trace=FILE] "
               f"[--diagnose=FILE] [--render=FILE] [--gate] [--check-only]",
               file=sys.stderr)
         return 2
     traj_path, bench_path, table2_path, sha = argv[1:5]
     gate = "--gate" in argv[5:]
     check_only = "--check-only" in argv[5:]
-    overlap_path = None
     fig09_path = None
     trace_path = None
     diagnose_path = None
     render_path = None
     for arg in argv[5:]:
-        if arg.startswith("--overlap="):
-            overlap_path = arg[len("--overlap="):]
-        elif arg.startswith("--fig09="):
+        if arg.startswith("--fig09="):
             fig09_path = arg[len("--fig09="):]
         elif arg.startswith("--trace="):
             trace_path = arg[len("--trace="):]
@@ -411,10 +378,6 @@ def main(argv):
             for name, (new, med) in suspects.items())
         print("bench plausibility: recording entry with suspect=true "
               "(excluded from gate baselines and future medians)")
-    if overlap_path:
-        overlap = parse_overlap(overlap_path)
-        if overlap is not None:
-            entry["overlap_hidden_comm"] = overlap
     if fig09_path:
         fig09 = parse_fig09(fig09_path)
         if fig09 is not None:

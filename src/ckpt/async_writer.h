@@ -1,6 +1,5 @@
 // Background checkpoint writer: takes snapshot-write jobs off the training
-// hot path (the "hide it behind compute" idea of the overlapped reducer,
-// applied to fault tolerance).
+// hot path, so a save's file writes run behind the next iteration's compute.
 //
 // Protocol (dist_trainer.cc's deferred-commit save):
 //   1. At a checkpoint boundary the trainer CAPTURES its state in memory —

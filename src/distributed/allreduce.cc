@@ -66,50 +66,24 @@ void GradientAllReducer::AllReduce(int rank, const std::vector<Parameter*>& para
   barrier_.Wait();  // Averaged gradients visible to every rank.
 }
 
-namespace {
-
-// The circulated item schedule of a range-restricted round: global contract
-// chunk c clipped to the bucket [begin, end). Keeping the GLOBAL chunk bounds
-// (rather than re-partitioning the sub-range) is what makes a union of bucket
-// rounds bitwise-equal to one full-space round — every element keeps its chunk
-// owner and its position in the fold.
-Span ClippedChunkSpan(int64_t total, int world, int chunk, int64_t begin,
-                      int64_t end) {
-  Span s = ChunkSpan(total, world, chunk);
-  s.begin = std::max(s.begin, begin);
-  s.end = std::min(s.end, end);
-  if (s.begin > s.end) {
-    s.begin = s.end = 0;  // Disjoint: an empty (zero-byte) frame.
-  }
-  return s;
-}
-
-}  // namespace
-
 RingAllReducer::RingAllReducer(Transport& transport) : transport_(transport) {}
 
 TransportStatus RingAllReducer::ReduceScatterAverage(
     FlatParamView& view, std::pair<int64_t, int64_t>* owned) {
-  if (owned != nullptr) {
-    const Span own = ChunkSpan(view.NumEl(), transport_.World(), transport_.Rank());
-    *owned = {own.begin, own.end};
-  }
-  return ReduceScatterAverageRange(view, 0, view.NumEl());
-}
-
-TransportStatus RingAllReducer::ReduceScatterAverageRange(FlatParamView& view,
-                                                          int64_t begin,
-                                                          int64_t end) {
   const int rank = transport_.Rank();
   const int world = transport_.World();
   const int64_t total = view.NumEl();
+  if (owned != nullptr) {
+    const Span own = ChunkSpan(total, world, rank);
+    *owned = {own.begin, own.end};
+  }
   if (world == 1) {
     return TransportStatus::Ok();
   }
   WallTimer timer;
   trace::Span span("ring", "reduce_scatter");
   if (span.active()) {
-    span.SetArgs("{\"elems\":%lld}", static_cast<long long>(end - begin));
+    span.SetArgs("{\"elems\":%lld}", static_cast<long long>(total));
   }
 
   // Chunk c's partial sum enters the ring at rank (c+1)%W (initial value: that
@@ -120,7 +94,7 @@ TransportStatus RingAllReducer::ReduceScatterAverageRange(FlatParamView& view,
   // is what the circulation forwards.
   const TransportStatus st = RingCirculate(
       transport_, rank - 1,
-      [&](int c) { return ClippedChunkSpan(total, world, c, begin, end); },
+      [&](int c) { return ChunkSpan(total, world, c); },
       [&](float* buf, int, const Span& s) { view.CopyOut(s.begin, s.end, buf); },
       [&](float* buf, int c, const Span& s) {
         // Ring-order fold step: incoming partial sum (left operand, preserved
@@ -141,33 +115,28 @@ TransportStatus RingAllReducer::ReduceScatterAverageRange(FlatParamView& view,
   if (!st.ok()) {
     return st;
   }
-  payload_bytes_ += (end - begin) * static_cast<int64_t>(sizeof(float));
+  payload_bytes_ += total * static_cast<int64_t>(sizeof(float));
   return st;
 }
 
 TransportStatus RingAllReducer::AllGather(FlatParamView& view) {
-  return AllGatherRange(view, 0, view.NumEl());
-}
-
-TransportStatus RingAllReducer::AllGatherRange(FlatParamView& view, int64_t begin,
-                                               int64_t end) {
   const int world = transport_.World();
   if (world == 1) {
     return TransportStatus::Ok();
   }
   WallTimer timer;
   trace::Span span("ring", "all_gather");
-  if (span.active()) {
-    span.SetArgs("{\"elems\":%lld}", static_cast<long long>(end - begin));
-  }
   const int64_t total = view.NumEl();
+  if (span.active()) {
+    span.SetArgs("{\"elems\":%lld}", static_cast<long long>(total));
+  }
 
   // Rank r seeds the ring with its own chunk r; every step each rank forwards
   // the chunk it received last step, so after W-1 steps every rank has landed
   // every owner's (bit-exact, owner-computed-once) chunk.
   const TransportStatus st = RingCirculate(
       transport_, transport_.Rank(),
-      [&](int c) { return ClippedChunkSpan(total, world, c, begin, end); },
+      [&](int c) { return ChunkSpan(total, world, c); },
       [&](float* buf, int, const Span& s) { view.CopyOut(s.begin, s.end, buf); },
       [&](const float* buf, int, const Span& s) { view.CopyIn(s.begin, s.end, buf); },
       &wire_bytes_);

@@ -77,20 +77,6 @@ class RingAllReducer {
   // gradients) but must have the same flat size.
   TransportStatus AllGather(FlatParamView& view);
 
-  // Range-restricted halves for the backward-overlapped bucket schedule
-  // (overlap_reducer.h). The circulated spans are the intersection of the
-  // GLOBAL contract chunks of view.NumEl() with [begin, end) — NOT a fresh
-  // contract over the sub-range — so every element keeps the exact chunk
-  // assignment and fold order it has in the full-space round. The union of
-  // disjoint bucket rounds covering [0, NumEl()) is therefore bitwise-equal to
-  // one ReduceScatterAverage/AllGather pair, which is the whole overlap
-  // correctness argument. All ranks must call with identical [begin, end).
-  // Empty intersections still exchange zero-byte frames (ring stays in
-  // lockstep). The full-space calls above are the [0, NumEl()) special case.
-  TransportStatus ReduceScatterAverageRange(FlatParamView& view, int64_t begin,
-                                            int64_t end);
-  TransportStatus AllGatherRange(FlatParamView& view, int64_t begin, int64_t end);
-
   // Logical payload: flat bytes per reduce-scatter call (comparable to
   // GradientAllReducer::TotalBytesReduced).
   int64_t TotalBytesReduced() const { return payload_bytes_; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <sstream>
 #include <thread>
 #include <tuple>
@@ -17,7 +16,6 @@
 #include "src/core/controller.h"
 #include "src/distributed/allreduce.h"
 #include "src/distributed/flat_view.h"
-#include "src/distributed/overlap_reducer.h"
 #include "src/distributed/transport/inproc_transport.h"
 #include "src/distributed/transport/tcp_transport.h"
 #include "src/obs/metrics.h"
@@ -264,63 +262,6 @@ RankTrainResult TrainRank(
   int64_t shard_begin = 0;
   int64_t shard_end = 0;
   double seg_comm_start = 0.0;  // ring.CommSeconds() at current segment start
-  double seg_hidden_start = 0.0;   // overlap hidden-seconds at segment start
-  double seg_exposed_start = 0.0;  // overlap exposed-seconds at segment start
-
-  // Overlapped reducer (tentpole): a dedicated comm thread runs per-stage
-  // bucket rounds while backward computes, fed by the model's stage-backward
-  // observer. Constructed only on the ring-sharded path with overlap enabled;
-  // the sequential round stays available as the bitwise pin baseline.
-  const bool overlap = sharded && cfg.overlap_comm;
-  std::optional<OverlapReducer> overlap_reducer;
-  if (overlap) {
-    overlap_reducer.emplace(transport, ring, shard_opt);
-    model.SetStageBackwardObserver(
-        [&ov = *overlap_reducer](int stage) { ov.NotifyStageReady(stage); });
-  }
-  // The observer closes over the stack-scoped reducer but the model outlives
-  // this frame (it is handed back on the result), so detach it on every exit
-  // path. Destroyed before overlap_reducer (declared after it), so no stray
-  // notification can reach a dying reducer either.
-  struct ObserverGuard {
-    ChainModel& m;
-    ~ObserverGuard() { m.SetStageBackwardObserver(nullptr); }
-  } observer_guard{model};
-
-  // Per-stage buckets over the flat active space at `at_frontier`: ParamsFrom
-  // concatenates StageParams in stage order, so stage extents are contiguous
-  // prefix sums. Frozen stages (< frontier) simply never appear — they have
-  // left the bucket schedule along with the payload. Adjacent stages coalesce
-  // until each bucket holds >= overlap_min_bucket_elems: the partition is
-  // bitwise-free (ownership and fold order are fixed by the GLOBAL contract
-  // chunks), and since backward runs deep to front, a merged bucket's grads
-  // are all final when its FRONT-most stage — the bucket's label, whose
-  // NotifyStageReady fires last among its members — completes backward.
-  auto make_buckets = [&](int at_frontier) {
-    std::vector<OverlapReducer::Bucket> buckets;
-    int64_t offset = 0;
-    for (int stage = at_frontier; stage < model.NumStages(); ++stage) {
-      const int64_t n = model.StageParamCount(stage);
-      buckets.push_back(OverlapReducer::Bucket{stage, offset, offset + n});
-      offset += n;
-    }
-    const int64_t min_elems = cfg.overlap_min_bucket_elems;
-    if (min_elems > 0) {
-      std::vector<OverlapReducer::Bucket> merged;
-      for (const OverlapReducer::Bucket& b : buckets) {
-        // The open bucket absorbs deeper stages until full; its stage label
-        // stays the front-most member, so readiness still means "every
-        // member's backward is done" by the deep-to-front order.
-        if (!merged.empty() && merged.back().end - merged.back().begin < min_elems) {
-          merged.back().end = b.end;
-        } else {
-          merged.push_back(b);
-        }
-      }
-      buckets = std::move(merged);
-    }
-    return buckets;
-  };
 
   // Finalize the measured all-reduce seconds of the segment that just ended on
   // rank 0's timeline. A segment recorded at event iter E covers the collective
@@ -338,18 +279,6 @@ RankTrainResult TrainRank(
             ? (ring.CommSeconds() - seg_comm_start) / static_cast<double>(rounds)
             : 0.0;
     seg_comm_start = ring.CommSeconds();
-    if (overlap_reducer.has_value() && rounds > 0) {
-      prev.comm_hidden_s_per_iter =
-          (overlap_reducer->TotalHiddenSeconds() - seg_hidden_start) /
-          static_cast<double>(rounds);
-      prev.comm_exposed_s_per_iter =
-          (overlap_reducer->TotalExposedSeconds() - seg_exposed_start) /
-          static_cast<double>(rounds);
-    }
-    if (overlap_reducer.has_value()) {
-      seg_hidden_start = overlap_reducer->TotalHiddenSeconds();
-      seg_exposed_start = overlap_reducer->TotalExposedSeconds();
-    }
   };
 
   // Collective shard (re)partition over the active suffix at `at_frontier`.
@@ -717,11 +646,10 @@ RankTrainResult TrainRank(
 
       // Controller duties on rank 0 only (logically centralized, Fig. 5). Runs
       // BEFORE this iteration's control broadcast so the decision reaches every
-      // rank in time to be applied at the same iteration boundary — and before
-      // backward, so the transport is free for the overlapped reducer's comm
-      // thread from BeginRound to FinishRound. Everything the controller reads
-      // (forward activations, pre-update weights, lr, iter) is untouched by
-      // backward, so its inputs are bitwise the post-backward placement's.
+      // rank in time to be applied at the same iteration boundary. It also runs
+      // before backward: everything the controller reads (forward activations,
+      // pre-update weights, lr, iter) is untouched by backward, so its inputs
+      // are bitwise the post-backward placement's.
       int32_t pending = static_cast<int32_t>(frontier);
       if (rank == 0 && controller != nullptr) {
         if (!cfg.egeria.async_controller) {
@@ -767,57 +695,35 @@ RankTrainResult TrainRank(
       for (Parameter* p : active) {
         p->grad.Zero_();
       }
+      {
+        obs::ScopedPhase bp_phase("trainer", "bp", &bp_hist, &result.bp_seconds);
+        model.BackwardTo(frontier, loss.grad);
+      }
       if (sharded) {
+        // ZeRO-1 round: ring reduce-scatter the gradients, the owner applies
+        // the optimizer update on its shard, ring all-gather the updated
+        // weights. Both collectives record into dist.comm_wait_s, which the
+        // heartbeat stats frames ship to rank 0 for online straggler
+        // detection: a rank that never waits here is the one everyone else
+        // is waiting FOR.
         FlatParamView grads(active, FlatParamView::Field::kGrad);
         FlatParamView values(active, FlatParamView::Field::kValue);
-        if (overlap) {
-          // Overlapped ZeRO-1 round: the comm thread reduces each stage's
-          // bucket the moment that stage's backward hands it over; from
-          // BeginRound to FinishRound the comm thread is the transport's only
-          // user. Bitwise-identical to the sequential round below because
-          // every bucket circulates global-contract-chunk ∩ bucket spans.
-          overlap_reducer->BeginRound(&grads, &values, make_buckets(frontier),
-                                      shard_begin, shard_end, lr);
-          {
-            obs::ScopedPhase bp_phase("trainer", "bp", &bp_hist,
-                                      &result.bp_seconds);
-            model.BackwardTo(frontier, loss.grad);
-          }
-          {
-            // Comm exposed past the end of backward — the merged timeline
-            // shows comm-thread bucket spans inside/around this wait. The
-            // histogram is what the heartbeat stats frames ship to rank 0
-            // for online straggler detection: a rank that never waits here
-            // is the one everyone else is waiting FOR.
-            obs::ScopedPhase wait_phase("trainer", "comm_wait",
-                                        &comm_wait_hist);
-            EGERIA_RETURN_ON_TRANSPORT_ERROR(overlap_reducer->FinishRound());
-          }
-        } else {
-          // Sequential ZeRO-1 round (the pin baseline): ring reduce-scatter
-          // the gradients, owner applies the optimizer update on its shard,
-          // ring all-gather the updated weights.
-          {
-            obs::ScopedPhase bp_phase("trainer", "bp", &bp_hist,
-                                      &result.bp_seconds);
-            model.BackwardTo(frontier, loss.grad);
-          }
-          std::pair<int64_t, int64_t> owned{0, 0};
+        std::pair<int64_t, int64_t> owned{0, 0};
+        {
+          obs::ScopedPhase wait_phase("trainer", "comm_wait", &comm_wait_hist);
           EGERIA_RETURN_ON_TRANSPORT_ERROR(ring.ReduceScatterAverage(grads, &owned));
-          EGERIA_CHECK(owned.first == shard_begin && owned.second == shard_end);
-          {
-            obs::ScopedPhase opt_phase("trainer", "opt", &opt_hist,
-                                       &result.opt_seconds);
-            shard_opt.Step(values, grads, shard_begin, shard_end, lr);
-          }
+        }
+        EGERIA_CHECK(owned.first == shard_begin && owned.second == shard_end);
+        {
+          obs::ScopedPhase opt_phase("trainer", "opt", &opt_hist,
+                                     &result.opt_seconds);
+          shard_opt.Step(values, grads, shard_begin, shard_end, lr);
+        }
+        {
+          obs::ScopedPhase wait_phase("trainer", "comm_wait", &comm_wait_hist);
           EGERIA_RETURN_ON_TRANSPORT_ERROR(ring.AllGather(values));
         }
       } else {
-        {
-          obs::ScopedPhase bp_phase("trainer", "bp", &bp_hist,
-                                    &result.bp_seconds);
-          model.BackwardTo(frontier, loss.grad);
-        }
         EGERIA_TRACE_SCOPE("ring", "star_reduce");
         reference_reducer->AllReduce(rank, active);
       }
@@ -874,10 +780,6 @@ RankTrainResult TrainRank(
   result.iterations = iter;
   result.wire_bytes = ring.TotalWireBytes();
   result.allreduce_seconds = ring.CommSeconds();
-  if (overlap_reducer.has_value()) {
-    result.comm_hidden_seconds = overlap_reducer->TotalHiddenSeconds();
-    result.comm_exposed_seconds = overlap_reducer->TotalExposedSeconds();
-  }
   result.params_hash = HashParams(model.ParamsFrom(0));
 
   // Validate on rank 0's replica.
@@ -961,8 +863,6 @@ DistTrainResult TrainDataParallel(
   result.bytes_synced = r0.bytes_synced;
   result.bytes_full_model = r0.bytes_full_model;
   result.allreduce_seconds = r0.allreduce_seconds;
-  result.comm_hidden_seconds = r0.comm_hidden_seconds;
-  result.comm_exposed_seconds = r0.comm_exposed_seconds;
   result.final_frontier = r0.final_frontier;
   result.iterations = r0.iterations;
   result.params_hash = r0.params_hash;

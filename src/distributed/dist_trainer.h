@@ -16,11 +16,14 @@
 // Default synchronization is a ring reduce-scatter/all-gather with ZeRO-1
 // optimizer-state sharding: each rank owns one contract chunk of the flattened
 // active-parameter space, applies the optimizer update for its shard, and the
-// all-gather circulates updated parameters. The freeze frontier re-partitions
-// shards, so frozen parameters leave both the ring payload and per-rank
-// optimizer memory. The rank-0 star reduce survives as the sequential reference
-// implementation that tests compare against bitwise (in-process only: it reads
-// peers' gradients through shared memory).
+// all-gather circulates updated parameters. The round runs once per iteration,
+// after backward, on the rank's training thread, and both collectives are
+// timed as the rank's comm_wait phase (the signal the heartbeat straggler
+// detector reads). The freeze frontier re-partitions shards, so frozen
+// parameters leave both the ring payload and per-rank optimizer memory. The
+// rank-0 star reduce survives as the sequential reference implementation that
+// tests compare against bitwise (in-process only: it reads peers' gradients
+// through shared memory).
 #ifndef EGERIA_SRC_DISTRIBUTED_DIST_TRAINER_H_
 #define EGERIA_SRC_DISTRIBUTED_DIST_TRAINER_H_
 
@@ -66,23 +69,10 @@ struct DistTrainConfig {
   enum class TransportKind { kInproc, kTcp };
   TransportKind transport = TransportKind::kInproc;
 
-  // Overlap gradient communication with backward compute (ring-sharded path
-  // only): the active space is split into per-stage buckets and a dedicated
-  // comm thread runs each stage's ring reduce-scatter/step/all-gather the
-  // moment that stage's backward finishes, front-most ready bucket first
-  // (overlap_reducer.h). Bitwise-identical to the post-backward round by the
-  // reduction contract; false keeps the sequential round as the pin baseline.
+  // Unused: nothing reads this field. Gradients are synchronized by one
+  // sequential ZeRO-1 round per iteration (reduce-scatter, shard step,
+  // all-gather). Kept only because existing callers still assign it.
   bool overlap_comm = true;
-
-  // Coalesce adjacent per-stage buckets until each holds at least this many
-  // elements. Every bucket pays fixed costs (one agreement round + per-hop
-  // ring latency on clipped chunks), so models with many small stages lose
-  // the overlap win to launch overhead. Coalescing is bitwise-free: the
-  // bucket partition never changes element ownership or fold order (both
-  // derive from the GLOBAL contract chunking), and backward runs deep to
-  // front, so a merged bucket is complete exactly when its front-most stage's
-  // backward finishes. 0 = one bucket per stage.
-  int64_t overlap_min_bucket_elems = 16384;
 
   bool enable_egeria = false;
   EgeriaConfig egeria;
@@ -127,12 +117,6 @@ struct DistReshardEvent {
   // Measured mean wall seconds rank 0 spent in ring collectives per iteration
   // while this frontier was in effect (i.e. over [iter, next event's iter)).
   double allreduce_seconds_per_iter = 0.0;
-  // Overlap split of that comm time (overlap_comm only): the share hidden
-  // behind backward compute vs exposed past the end of backward. hidden +
-  // exposed ≈ allreduce + agreement traffic; hidden is the Fig. 10 win the
-  // bucket schedule buys on a real wire.
-  double comm_hidden_s_per_iter = 0.0;
-  double comm_exposed_s_per_iter = 0.0;
 };
 
 // What one rank's training loop produces. rank 0 additionally validates and
@@ -146,8 +130,6 @@ struct RankTrainResult {
   int64_t bytes_full_model = 0;    // payload if nothing were frozen
   int64_t wire_bytes = 0;          // bytes this rank pushed onto its ring link
   double allreduce_seconds = 0.0;  // wall seconds in ring collectives
-  double comm_hidden_seconds = 0.0;   // comm hidden behind backward (overlap)
-  double comm_exposed_seconds = 0.0;  // comm exposed past backward (overlap)
   double final_score = 0.0;        // rank 0 only
   double final_display = 0.0;      // rank 0 only
   // Per-phase wall seconds for this rank's loop, measured by the same
@@ -179,8 +161,6 @@ struct DistTrainResult {
                                    // over ranks (0 for the sequential
                                    // reference path)
   double allreduce_seconds = 0.0;  // rank 0's measured collective seconds
-  double comm_hidden_seconds = 0.0;   // rank 0's comm hidden behind backward
-  double comm_exposed_seconds = 0.0;  // rank 0's comm exposed past backward
   int final_frontier = 0;
   int64_t iterations = 0;
   bool replicas_consistent = false;  // replicas bit-identical at the end

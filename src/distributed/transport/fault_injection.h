@@ -33,8 +33,7 @@
 //
 // A plan is armed and consumed by one rank. The hook runs on the rank's
 // training thread between collectives; the transport takes armed events
-// inside collectives, which the trainer runs after the hook (the overlap
-// reducer hands each round to its comm thread under a mutex). So the plan
+// inside collectives, which the same thread runs after the hook. So the plan
 // needs no lock of its own.
 #ifndef EGERIA_SRC_DISTRIBUTED_TRANSPORT_FAULT_INJECTION_H_
 #define EGERIA_SRC_DISTRIBUTED_TRANSPORT_FAULT_INJECTION_H_

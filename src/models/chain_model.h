@@ -74,8 +74,8 @@ class ChainModel {
   // EVERY parameter gradient of that stage is final for the pass (a stage that
   // owns auxiliary modules — the Transformer's first decoder stage and its
   // target embedding — fires only after all of them). Stages are reported in
-  // the model's own backward order (deepest first). The overlapped gradient
-  // reducer hangs its per-stage bucket schedule off this. Null = no-op.
+  // the model's own backward order (deepest first). Per-stage backward timing
+  // hangs off this (perfbench/tracing.cc). Null = no-op.
   using StageBackwardObserver = std::function<void(int stage)>;
   void SetStageBackwardObserver(StageBackwardObserver observer) {
     stage_backward_observer_ = std::move(observer);

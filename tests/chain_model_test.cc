@@ -1,12 +1,14 @@
 // ChainModel semantics — the invariants Egeria's freezing machinery relies on:
 //  - ForwardFrom(k, boundary_activation) reproduces the full forward exactly;
-//  - BackwardTo(stop) leaves frozen-stage gradients untouched;
+//  - BackwardTo(stop) leaves frozen-stage gradients untouched, and reports each
+//    visited stage to the stage-backward observer once, deepest first;
 //  - inference clones (float) match the training model in eval mode;
 //  - the Transformer chain routes memory gradients correctly (checked numerically);
 //  - partitioner invariants (balance, contiguity, protected head).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "src/core/module_partitioner.h"
 #include "src/models/bert.h"
@@ -68,6 +70,31 @@ TEST(StageChainModel, BackwardToStopsAtFrontier) {
     }
   }
   EXPECT_GT(active_mass, 0.0);
+}
+
+// The stage-backward observer (per-stage backward timing hangs off it): every
+// stage in [stop, NumStages) is reported exactly once, deepest first, and no
+// stage below `stop` ever is.
+TEST(StageChainModel, BackwardObserverReportsVisitedStagesDeepestFirst) {
+  auto model = SmallResNet();
+  const int n = model->NumStages();
+  std::vector<int> seen;
+  model->SetStageBackwardObserver([&seen](int stage) { seen.push_back(stage); });
+  Rng rng(25);
+  Tensor x = Tensor::Randn({2, 3, 12, 12}, rng);
+  for (int stop = 0; stop <= n; ++stop) {
+    Tensor out = model->ForwardFrom(0, x);
+    Tensor grad = Tensor::Randn(out.Shape(), rng);
+    model->ZeroGrad();
+    seen.clear();
+    model->BackwardTo(stop, grad);
+    std::vector<int> expected;
+    for (int i = n - 1; i >= stop; --i) {
+      expected.push_back(i);
+    }
+    EXPECT_EQ(seen, expected) << "stop " << stop;
+  }
+  model->SetStageBackwardObserver(nullptr);
 }
 
 TEST(StageChainModel, PartialBackwardMatchesFullBackwardOnSuffix) {
@@ -422,6 +449,69 @@ TEST_F(TransformerChainTest, FrozenDecoderPrefixSkipsEncoderBackward) {
     active += p->grad.AbsMax();
   }
   EXPECT_GT(active, 0.0);
+}
+
+// The first decoder stage owns the target embedding, which runs backward
+// after that decoder layer: the observer must report the stage only once the
+// embedding's gradients have landed, so every reported stage's gradients are
+// already final. Stages come deepest first, and none below `stop`.
+TEST_F(TransformerChainTest, BackwardObserverWaitsForTargetEmbedding) {
+  Rng rng(36);
+  TransformerChainModel model("t", SmallConfig(), rng);
+  Batch batch = SmallBatch(rng);
+  model.SetBatch(batch);
+  const int dec0 = 3;  // embed, enc0, enc1, dec0, dec1, proj
+  ASSERT_EQ(model.StageModules(dec0).size(), 1U);
+  const std::vector<Parameter*> tgt_embed = model.StageModules(dec0)[0]->Parameters();
+  ASSERT_FALSE(tgt_embed.empty());
+
+  std::vector<int> seen;
+  std::vector<std::vector<float>> at_notify(static_cast<size_t>(model.NumStages()));
+  double tgt_embed_mass_at_notify = 0.0;
+  model.SetStageBackwardObserver([&](int stage) {
+    seen.push_back(stage);
+    for (Parameter* p : model.StageParams(stage)) {
+      at_notify[static_cast<size_t>(stage)].insert(
+          at_notify[static_cast<size_t>(stage)].end(), p->grad.Data(),
+          p->grad.Data() + p->grad.NumEl());
+    }
+    if (stage == dec0) {
+      for (Parameter* p : tgt_embed) {
+        tgt_embed_mass_at_notify += p->grad.AbsMax();
+      }
+    }
+  });
+  for (int stop : {0, dec0, dec0 + 1}) {
+    Tensor out = model.ForwardFrom(0, batch.input);
+    LossResult loss = SequenceCrossEntropy(out, batch.labels);
+    model.ZeroGrad();
+    seen.clear();
+    for (auto& grads : at_notify) {
+      grads.clear();
+    }
+    tgt_embed_mass_at_notify = 0.0;
+    model.BackwardTo(stop, loss.grad);
+
+    std::vector<int> expected;
+    for (int i = model.NumStages() - 1; i >= stop; --i) {
+      expected.push_back(i);
+    }
+    EXPECT_EQ(seen, expected) << "stop " << stop;
+    for (int stage : seen) {
+      std::vector<float> final_grads;
+      for (Parameter* p : model.StageParams(stage)) {
+        final_grads.insert(final_grads.end(), p->grad.Data(),
+                           p->grad.Data() + p->grad.NumEl());
+      }
+      EXPECT_EQ(at_notify[static_cast<size_t>(stage)], final_grads)
+          << "stage " << stage << " reported before its gradients were final";
+    }
+    if (stop <= dec0) {
+      EXPECT_GT(tgt_embed_mass_at_notify, 0.0)
+          << "decoder stage 0 reported before the target embedding's backward";
+    }
+  }
+  model.SetStageBackwardObserver(nullptr);
 }
 
 TEST(BertChain, SpanModelTrainsOneStep) {

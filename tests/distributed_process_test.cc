@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -18,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "src/ckpt/checkpoint.h"
 #include "src/distributed/dist_trainer.h"
@@ -369,6 +371,39 @@ TEST(DistributedProcess, CrashedRankFailsTheWorldFast) {
   EXPECT_EQ(run.exit_codes[1], 3);
   if (!HasFailure()) {
     RemoveLogDir(options, run);
+  }
+}
+
+// A numeric flag must parse whole and lie in its documented range; anything
+// else is a usage error (exit 2) raised before the worker touches the
+// rendezvous, never a run with a silently different setting ("4O" read as 4,
+// "x" as 0 turning checkpoints or the heartbeat off) or a crash inside the
+// transport (a rank outside the world).
+TEST(DistributedProcess, MalformedNumericFlagsExitTwoBeforeConnecting) {
+  const std::string log_dir = MakeLogDir("flags");
+  const std::string rendezvous = log_dir + "/rendezvous";
+  const std::vector<std::string> cases = {
+      "--rank=0 --world=2 --ckpt-interval=4O",
+      "--rank=1x --world=1",
+      "--rank=1 --world=1",
+      "--rank=0 --world=2 --ckpt-interval=x",
+      "--rank=0 --world=2 --hb-interval=x",
+  };
+  for (const std::string& args : cases) {
+    // A worker that wrongly accepted its flags would publish the rendezvous
+    // and give up waiting for its peer after the connect timeout.
+    const std::string cmd = WorkerBinary() + " --workload=tiny --rendezvous=" +
+                            rendezvous + " --connect-timeout=5 " + args +
+                            " >/dev/null 2>&1";
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << args << ": worker did not exit";
+    EXPECT_EQ(WEXITSTATUS(status), 2) << args;
+    EXPECT_FALSE(std::filesystem::exists(rendezvous))
+        << args << ": worker reached the rendezvous";
+    std::filesystem::remove(rendezvous);
+  }
+  if (!HasFailure()) {
+    std::filesystem::remove_all(log_dir);
   }
 }
 

@@ -1,7 +1,8 @@
 // Distributed substrate: network model, communication scheduler properties
 // (ByteScheduler <= FIFO; Egeria reduces both compute and traffic), real all-reduce
 // correctness (ring vs sequential reference, bitwise), shard repartitioning under
-// freezing, and the data-parallel harness.
+// freezing, the data-parallel harness, and checkpoint resume (same-world,
+// elastic, and async vs inline saves).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -11,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -28,6 +30,7 @@
 #include "src/distributed/transport/inproc_transport.h"
 #include "src/distributed/transport/tcp_transport.h"
 #include "src/models/resnet.h"
+#include "src/obs/metrics.h"
 #include "src/optim/lr_scheduler.h"
 #include "src/util/rng.h"
 
@@ -611,6 +614,74 @@ TEST_F(DistTrainerTest, EgeriaShardedRunMatchesReferenceAndShrinksState) {
                 static_cast<int64_t>(sizeof(float)));
 }
 
+// Harness-level pin over whole freezing runs of the `tiny` workload: the ring
+// over inproc and over TCP against the sequential reference reducer, with the
+// Egeria controller moving the frontier mid-run (stages leave the ring
+// payload, shards repartition). Worlds 2/3/4; world 4 is pinned nowhere else.
+TEST(DistFreezing, RingMatchesReferenceBitwiseAcrossWorldsAndTransports) {
+  for (int world : {2, 3, 4}) {
+    SCOPED_TRACE("world " + std::to_string(world));
+    auto run = [&](DistTrainConfig::Reducer reducer,
+                   DistTrainConfig::TransportKind transport) {
+      DistWorkload w = MakeDistWorkload("tiny");
+      w.cfg.world = world;
+      w.cfg.enable_egeria = true;
+      w.cfg.reducer = reducer;
+      w.cfg.transport = transport;
+      return TrainDataParallel(w.make_model, *w.train, *w.val, w.cfg);
+    };
+    const DistTrainResult ref = run(DistTrainConfig::Reducer::kSequentialReference,
+                                    DistTrainConfig::TransportKind::kInproc);
+    const DistTrainResult ring = run(DistTrainConfig::Reducer::kRingSharded,
+                                     DistTrainConfig::TransportKind::kInproc);
+    const DistTrainResult tcp = run(DistTrainConfig::Reducer::kRingSharded,
+                                    DistTrainConfig::TransportKind::kTcp);
+
+    ASSERT_TRUE(ref.replicas_consistent);
+    ASSERT_TRUE(ring.replicas_consistent);
+    ASSERT_TRUE(tcp.replicas_consistent);
+    EXPECT_GT(ring.final_frontier, 0)
+        << "controller froze nothing; the mid-run reshard path went untested";
+    EXPECT_EQ(ring.params_hash, ref.params_hash) << "ring vs reference";
+    EXPECT_EQ(tcp.params_hash, ring.params_hash) << "ring inproc vs tcp";
+    EXPECT_EQ(ring.final_frontier, ref.final_frontier);
+    EXPECT_EQ(ring.bytes_synced, ref.bytes_synced);
+    EXPECT_EQ(tcp.wire_bytes, ring.wire_bytes);
+  }
+}
+
+// The ring round times both collectives as the rank's comm_wait phase (the
+// histogram the heartbeat stats frames carry to the straggler detector) and
+// the owner's shard step as its opt phase, on every rank.
+TEST(DistPhases, RingRoundRecordsCommWaitAndOptOnEveryRank) {
+  DistWorkload w = MakeDistWorkload("tiny");
+  w.cfg.world = 2;
+  w.cfg.epochs = 2;
+  const obs::Histogram& comm_wait = obs::GetHistogram("dist.comm_wait_s");
+  const int64_t before = comm_wait.Count();
+  InprocTransportGroup group(w.cfg.world);
+  std::vector<RankTrainResult> results(static_cast<size_t>(w.cfg.world));
+  std::vector<std::thread> threads;
+  for (int r = 0; r < w.cfg.world; ++r) {
+    threads.emplace_back([&, r] {
+      results[static_cast<size_t>(r)] =
+          TrainRank(group.Get(r), w.make_model, *w.train, *w.val, w.cfg);
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  const int64_t iterations = results[0].iterations;
+  ASSERT_GT(iterations, 0);
+  for (const RankTrainResult& r : results) {
+    ASSERT_TRUE(r.status.ok()) << r.status.message;
+    EXPECT_EQ(r.iterations, iterations);
+    EXPECT_GT(r.opt_seconds, 0.0) << "rank " << r.rank;
+  }
+  // One reduce-scatter and one all-gather per rank per iteration.
+  EXPECT_EQ(comm_wait.Count() - before, 2 * w.cfg.world * iterations);
+}
+
 // ---- Checkpoint/restore: the bitwise-resume contract at harness level ----
 
 std::string MakeCkptDir(const std::string& label) {
@@ -708,6 +779,76 @@ TEST(DistResume, ElasticResumeWorld4To3AgreesAcrossTransports) {
   EXPECT_EQ(inproc.final_frontier, tcp.final_frontier);
   std::filesystem::remove_all(dir_a);
   std::filesystem::remove_all(dir_b);
+}
+
+// Async checkpointing persists bitwise the same bytes the inline save would
+// have: same manifests (per-file sizes AND content hashes), and a resume from
+// either reproduces the uninterrupted run exactly.
+TEST(AsyncCheckpoint, BackgroundSavePersistsBitwiseIdenticalState) {
+  const std::string dir_async = MakeCkptDir("async");
+  const std::string dir_sync = MakeCkptDir("sync");
+
+  auto stage = [&](const std::string& dir, bool async_save) {
+    DistWorkload w = MakeDistWorkload("tiny");
+    w.cfg.world = 3;
+    w.cfg.enable_egeria = true;
+    w.cfg.ckpt.dir = dir;
+    w.cfg.ckpt.interval_iters = 4;
+    w.cfg.ckpt.async_save = async_save;
+    w.cfg.stop_after_iters = 10;
+    return TrainDataParallel(w.make_model, *w.train, *w.val, w.cfg);
+  };
+  const DistTrainResult a = stage(dir_async, true);
+  const DistTrainResult s = stage(dir_sync, false);
+  ASSERT_TRUE(a.stopped_early);
+  ASSERT_TRUE(s.stopped_early);
+  EXPECT_EQ(a.params_hash, s.params_hash);
+
+  const auto ma = FindLatestCheckpoint(dir_async);
+  const auto ms = FindLatestCheckpoint(dir_sync);
+  ASSERT_TRUE(ma.has_value());
+  ASSERT_TRUE(ms.has_value());
+  EXPECT_EQ(ma->iter, 10);
+  EXPECT_EQ(ms->iter, ma->iter);
+  // Same files, same bytes, same content hashes — capture-then-background
+  // write changed WHEN the bytes landed, not WHICH bytes.
+  std::map<std::string, std::pair<int64_t, uint64_t>> af;
+  for (const ManifestFile& f : ma->files) {
+    af[f.name] = {f.bytes, f.fnv};
+  }
+  ASSERT_EQ(ms->files.size(), af.size());
+  for (const ManifestFile& f : ms->files) {
+    const auto it = af.find(f.name);
+    ASSERT_NE(it, af.end()) << "async manifest missing " << f.name;
+    EXPECT_EQ(it->second.first, f.bytes) << f.name;
+    if (f.name == "controller.state") {
+      // Serializes measured eval wall-seconds — nondeterministic between ANY
+      // two runs (sync included), so content equality is not expected here.
+      continue;
+    }
+    EXPECT_EQ(it->second.second, f.fnv)
+        << f.name << " persisted different bytes under the async writer";
+  }
+
+  // Both resumes continue to the same final weights as each other.
+  auto resume = [&](const std::string& dir, bool async_save) {
+    DistWorkload w = MakeDistWorkload("tiny");
+    w.cfg.world = 3;
+    w.cfg.enable_egeria = true;
+    w.cfg.ckpt.dir = dir;
+    w.cfg.ckpt.interval_iters = 4;
+    w.cfg.ckpt.async_save = async_save;
+    return TrainDataParallel(w.make_model, *w.train, *w.val, w.cfg);
+  };
+  const DistTrainResult ra = resume(dir_async, true);
+  const DistTrainResult rs = resume(dir_sync, false);
+  EXPECT_EQ(ra.resumed_from_iter, 10);
+  EXPECT_EQ(rs.resumed_from_iter, 10);
+  EXPECT_TRUE(ra.replicas_consistent);
+  EXPECT_EQ(ra.params_hash, rs.params_hash)
+      << "async-saved checkpoint resumed to different weights";
+  std::filesystem::remove_all(dir_async);
+  std::filesystem::remove_all(dir_sync);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // tools/egeria_trace itself: merge ordering across skewed per-rank clocks,
 // the reconcile tolerance math (relative band + 10 ms absolute floor), and
-// --diagnose classification/straggler/overlap results on synthetic,
+// --diagnose classification/straggler results on synthetic,
 // hand-built trace files where every expected number is known in closed form.
 #include <sys/wait.h>
 
@@ -170,7 +170,9 @@ TEST(TraceToolTest, DiagnoseNamesStragglerAndCommWaitBound) {
   // Rank 1 carries a 1.85 s unattributed gap (the injected-delay signature:
   // time inside trainer.train covered by no phase span); rank 0 spends 1.6 s
   // in comm_wait waiting for it. Loads: r0 = 1.0 + 0.3, r1 = 1.0 + 1.85 →
-  // skew 2.85/1.3 ≈ 2.19 over the default 2.0 threshold.
+  // skew 2.85/1.3 ≈ 2.19 over the default 2.0 threshold. Each rank runs the
+  // ring round after backward: comm_wait (reduce-scatter), opt (shard step),
+  // comm_wait (all-gather).
   const std::string r0 = TmpPath("/tt_diag_r0.json");
   const std::string r1 = TmpPath("/tt_diag_r1.json");
   WriteTraceFile(
@@ -179,30 +181,21 @@ TEST(TraceToolTest, DiagnoseNamesStragglerAndCommWaitBound) {
        SpanLine(0, 1, 0.0, 100000.0, "trainer", "data"),
        SpanLine(0, 1, 100000.0, 300000.0, "trainer", "fp"),
        SpanLine(0, 1, 400000.0, 500000.0, "trainer", "bp"),
-       // Overlap accounting is per round, mirroring the worker: round 1 has
-       // 0.95 s of wire transfer against a 0.5 s comm_wait block → hidden
-       // max(0, 0.95-0.5) = 0.45 s, exposed 0.5 s. Round 2 has 0.05 s of
-       // wire against a 1.1 s block → hidden clipped to 0, exposed 1.1 s.
-       // Totals: hidden 0.45 s, exposed 1.6 s, efficiency 0.45/2.05 ≈ 22%.
-       SpanLine(0, 2, 450000.0, 950000.0, "comm", "round"),
-       SpanLine(0, 2, 450000.0, 950000.0, "ring", "reduce_scatter"),
+       // Ring spans nest inside comm_wait and never add to the breakdown.
        SpanLine(0, 1, 900000.0, 500000.0, "trainer", "comm_wait"),
-       SpanLine(0, 2, 1400000.0, 1100000.0, "comm", "round"),
-       SpanLine(0, 2, 1400000.0, 50000.0, "ring", "all_gather"),
-       SpanLine(0, 1, 1400000.0, 1100000.0, "trainer", "comm_wait"),
-       // Lifecycle envelopes and comm-thread wrappers must NOT count as
-       // wire time — they cover readiness waits, not transfers.
-       SpanLine(0, 2, 400000.0, 2100000.0, "comm", "bucket"),
-       SpanLine(0, 2, 450000.0, 950000.0, "comm", "reduce_scatter"),
-       SpanLine(0, 1, 2500000.0, 200000.0, "trainer", "opt")});
+       SpanLine(0, 1, 900000.0, 500000.0, "ring", "reduce_scatter"),
+       SpanLine(0, 1, 1400000.0, 200000.0, "trainer", "opt"),
+       SpanLine(0, 1, 1600000.0, 1100000.0, "trainer", "comm_wait"),
+       SpanLine(0, 1, 1600000.0, 1100000.0, "ring", "all_gather")});
   WriteTraceFile(
       r1, 1, 0.0,
       {SpanLine(1, 1, 0.0, 3000000.0, "trainer", "train"),
        SpanLine(1, 1, 0.0, 100000.0, "trainer", "data"),
        SpanLine(1, 1, 100000.0, 300000.0, "trainer", "fp"),
        SpanLine(1, 1, 400000.0, 500000.0, "trainer", "bp"),
-       SpanLine(1, 1, 900000.0, 50000.0, "trainer", "comm_wait"),
-       SpanLine(1, 1, 950000.0, 200000.0, "trainer", "opt")});
+       SpanLine(1, 1, 900000.0, 25000.0, "trainer", "comm_wait"),
+       SpanLine(1, 1, 925000.0, 200000.0, "trainer", "opt"),
+       SpanLine(1, 1, 1125000.0, 25000.0, "trainer", "comm_wait")});
 
   const ToolRun run = RunTraceTool("--diagnose " + r0 + " " + r1);
   ASSERT_EQ(run.exit_code, 0) << run.output;
@@ -214,12 +207,8 @@ TEST(TraceToolTest, DiagnoseNamesStragglerAndCommWaitBound) {
   EXPECT_EQ(static_cast<int>(v), 1);
   ASSERT_TRUE(DiagnosisField(run.output, "straggler_skew", &v));
   EXPECT_NEAR(v, 2.85 / 1.3, 0.01);
-  ASSERT_TRUE(DiagnosisField(run.output, "overlap_efficiency_pct", &v));
-  EXPECT_NEAR(v, 100.0 * 0.45 / 2.05, 0.1);
-  ASSERT_TRUE(DiagnosisField(run.output, "comm_hidden_s", &v));
-  EXPECT_NEAR(v, 0.45, 0.001);
-  ASSERT_TRUE(DiagnosisField(run.output, "comm_exposed_s", &v));
-  EXPECT_NEAR(v, 1.6, 0.001);
+  ASSERT_TRUE(DiagnosisField(run.output, "dominant_seconds", &v));
+  EXPECT_NEAR(v, 1.85, 0.001);  // rank 1's gap outweighs rank 0's 1.6 s wait
 
   // A raised threshold silences the straggler verdict but keeps the class.
   const ToolRun strict =
@@ -238,9 +227,6 @@ TEST(TraceToolTest, DiagnoseClassifiesComputeBoundBalancedRun) {
       SpanLine(0, 1, 100000.0, 1000000.0, "trainer", "fp"),
       SpanLine(0, 1, 1100000.0, 1000000.0, "trainer", "bp"),
       SpanLine(0, 1, 2100000.0, 200000.0, "trainer", "comm_wait"),
-      // No comm.round envelopes → the sync-path fallback applies: wire spans
-      // interval-intersected with backward spans. This star_reduce sits
-      // entirely inside comm_wait, so all 0.2 s of it is exposed.
       SpanLine(0, 1, 2100000.0, 200000.0, "ring", "star_reduce"),
       SpanLine(0, 1, 2300000.0, 500000.0, "trainer", "opt")};
   const std::string r0 = TmpPath("/tt_cb_r0.json");
@@ -259,10 +245,8 @@ TEST(TraceToolTest, DiagnoseClassifiesComputeBoundBalancedRun) {
   ASSERT_TRUE(DiagnosisField(run.output, "critical_path_s", &v));
   // data 0.1 + compute 2.5 + comm_wait 0.2 + gap 0.1 = 2.9 (== train).
   EXPECT_NEAR(v, 2.9, 0.01);
-  ASSERT_TRUE(DiagnosisField(run.output, "overlap_efficiency_pct", &v));
-  EXPECT_NEAR(v, 0.0, 0.01);
-  ASSERT_TRUE(DiagnosisField(run.output, "comm_exposed_s", &v));
-  EXPECT_NEAR(v, 0.4, 0.001);  // 0.2 s per rank, both exposed
+  // The diagnosis carries no overlap metric: there is one ring schedule.
+  EXPECT_FALSE(DiagnosisField(run.output, "overlap_efficiency_pct", &v));
 }
 
 }  // namespace

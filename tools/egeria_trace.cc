@@ -26,15 +26,12 @@
 // a per-rank phase breakdown with the unattributed gap (time inside
 // trainer.train covered by no phase span — where cross-rank waits like a
 // frontier broadcast stalled behind a straggler land), a per-phase critical
-// path (the slowest rank of each phase), measured overlap efficiency
-// (per-round wire-transfer seconds split around the matching
-// trainer.comm_wait block, mirroring the worker's own accounting:
-// hidden vs exposed comm),
-// a data-/compute-/comm-wait-bound classification naming the dominant phase
-// and rank, and straggler detection (per-rank load = compute + gap; skew =
-// max/median, reported when it exceeds --straggler-skew). Output is a human
-// report plus one machine-readable `EGERIA_DIAGNOSIS {json}` line that
-// scripts/bench_trajectory.py records as advisory metrics.
+// path (the slowest rank of each phase), a data-/compute-/comm-wait-bound
+// classification naming the dominant phase and rank, and straggler detection
+// (per-rank load = compute + gap; skew = max/median, reported when it exceeds
+// --straggler-skew). Output is a human report plus one machine-readable
+// `EGERIA_DIAGNOSIS {json}` line that scripts/bench_trajectory.py records as
+// advisory metrics.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -275,54 +272,6 @@ bool WriteMerged(const std::string& path, const std::vector<RankFile>& ranks,
   return static_cast<bool>(os);
 }
 
-// ---- interval arithmetic for the overlap-efficiency measurement ----
-
-// Sorts and merges in place; returns the union length. Working in merged
-// unions (not raw span sums) is what keeps nested comm spans
-// (reduce_scatter ⊃ shard_step) from being counted twice.
-double MergeIntervals(std::vector<std::pair<double, double>>* iv) {
-  if (iv->empty()) {
-    return 0.0;
-  }
-  std::sort(iv->begin(), iv->end());
-  std::vector<std::pair<double, double>> merged;
-  merged.push_back((*iv)[0]);
-  for (size_t i = 1; i < iv->size(); ++i) {
-    if ((*iv)[i].first <= merged.back().second) {
-      merged.back().second = std::max(merged.back().second, (*iv)[i].second);
-    } else {
-      merged.push_back((*iv)[i]);
-    }
-  }
-  iv->swap(merged);
-  double total = 0.0;
-  for (const auto& [lo, hi] : *iv) {
-    total += hi - lo;
-  }
-  return total;
-}
-
-// Total overlap between two merged (sorted, disjoint) interval lists.
-double IntersectIntervals(const std::vector<std::pair<double, double>>& a,
-                          const std::vector<std::pair<double, double>>& b) {
-  double total = 0.0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    const double lo = std::max(a[i].first, b[j].first);
-    const double hi = std::min(a[i].second, b[j].second);
-    if (hi > lo) {
-      total += hi - lo;
-    }
-    if (a[i].second < b[j].second) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return total;
-}
-
 // EGERIA_RESULT key=value fields from a worker log (last such line wins).
 std::map<std::string, std::string> ParseResultLine(const std::string& path) {
   std::map<std::string, std::string> kv;
@@ -470,8 +419,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     const int rank0 = ranks[0].rank;
-    // trainer.opt is absent in overlap mode (the optimizer steps on the comm
-    // thread inside comm.shard_step spans) — both sides then reconcile at ~0.
+    // trainer.opt is the owner's shard step on the ring path and the full
+    // replicated step on the reference path; both run on the rank's thread.
     const std::pair<const char*, const char*> phases[] = {
         {"trainer.data", "data_s"}, {"trainer.fp", "fp_s"},
         {"trainer.bp", "bp_s"},     {"trainer.opt", "opt_s"},
@@ -492,7 +441,7 @@ int main(int argc, char** argv) {
       const auto tit = totals.find({rank0, span_key});
       const double got = tit != totals.end() ? tit->second.seconds : 0.0;
       // Relative tolerance with a 10 ms absolute floor: phases near zero
-      // (e.g. opt under overlap) must not fail on scheduler noise.
+      // (e.g. the shard step of a tiny model) must not fail on scheduler noise.
       const double tol = std::max(expect * tolerance_pct / 100.0, 0.010);
       const bool match = std::abs(got - expect) <= tol;
       std::printf("reconcile %-14s trace=%.6f result=%.6f tol=%.6f %s\n",
@@ -514,7 +463,6 @@ int main(int argc, char** argv) {
     struct RankDiag {
       double data = 0.0, fp = 0.0, bp = 0.0, opt = 0.0;
       double comm_wait = 0.0, train = 0.0;
-      double comm_union = 0.0, hidden = 0.0, exposed = 0.0;
       double compute() const { return fp + bp + opt; }
       // Train-loop time covered by no phase span: cross-rank waits outside
       // the instrumented phases (e.g. a frontier broadcast stalled behind a
@@ -537,71 +485,6 @@ int main(int argc, char** argv) {
       d.opt = total("trainer.opt");
       d.comm_wait = total("trainer.comm_wait");
       d.train = total("trainer.train");
-      // Overlap efficiency replays the worker's own per-round accounting
-      // (overlap_reducer.cc FinishRound) from spans: for each backward
-      // round, comm = wire-transfer seconds inside that round's comm.round
-      // envelope (ring.reduce_scatter / ring.all_gather — exactly what the
-      // worker's CommSeconds times), block = the matching trainer.comm_wait
-      // span (the FinishRound wall block, readiness idle included); then
-      // hidden = max(0, comm - block) and exposed = block, per round. The
-      // comm.* lifecycle envelopes (round/bucket/reduce_scatter wrappers on
-      // the comm thread) never count as wire time — they cover readiness
-      // waits and would claim the whole backward window as "hidden". Runs
-      // without the overlap reducer (no comm.round spans, e.g. the sync
-      // star-reduce path) fall back to interval-intersecting wire spans
-      // with backward spans.
-      auto is_wire_span = [](const TraceEvent& e) {
-        if (e.cat != "ring") {
-          return false;
-        }
-        return e.name == "reduce_scatter" || e.name == "all_gather" ||
-               e.name == "star_reduce";
-      };
-      std::vector<std::pair<double, double>> wire_spans;
-      std::vector<std::pair<double, double>> round_iv;
-      std::vector<std::pair<double, double>> wait_iv;
-      std::vector<std::pair<double, double>> bp_iv;
-      for (const TraceEvent& e : rf.events) {
-        if (e.ph != 'X') {
-          continue;
-        }
-        const double lo = e.ts_us * 1e-6;
-        const double hi = (e.ts_us + e.dur_us) * 1e-6;
-        if (is_wire_span(e)) {
-          wire_spans.emplace_back(lo, hi);
-        } else if (e.cat == "comm" && e.name == "round") {
-          round_iv.emplace_back(lo, hi);
-        } else if (e.cat == "trainer" && e.name == "comm_wait") {
-          wait_iv.emplace_back(lo, hi);
-        } else if (e.cat == "trainer" && e.name == "bp") {
-          bp_iv.emplace_back(lo, hi);
-        }
-      }
-      if (!round_iv.empty() && !wait_iv.empty()) {
-        // Rounds and FinishRound blocks are both strictly sequential per
-        // iteration, so sorting by start time pairs them index-wise.
-        std::sort(round_iv.begin(), round_iv.end());
-        std::sort(wait_iv.begin(), wait_iv.end());
-        const size_t n = std::min(round_iv.size(), wait_iv.size());
-        for (size_t i = 0; i < n; ++i) {
-          double comm = 0.0;
-          for (const auto& [lo, hi] : wire_spans) {
-            const double mid = 0.5 * (lo + hi);
-            if (mid >= round_iv[i].first && mid <= round_iv[i].second) {
-              comm += hi - lo;
-            }
-          }
-          const double block = wait_iv[i].second - wait_iv[i].first;
-          d.hidden += std::max(0.0, comm - block);
-          d.exposed += block;
-          d.comm_union += comm;
-        }
-      } else {
-        d.comm_union = MergeIntervals(&wire_spans);
-        MergeIntervals(&bp_iv);
-        d.hidden = IntersectIntervals(wire_spans, bp_iv);
-        d.exposed = d.comm_union - d.hidden;
-      }
     }
 
     std::printf("\n---- diagnosis ----\n");
@@ -639,20 +522,10 @@ int main(int argc, char** argv) {
     }
     std::printf(" total=%.3fs\n", critical_path_s);
 
-    double hidden_total = 0.0;
-    double exposed_total = 0.0;
     double wall_s = 0.0;
     for (const auto& [rank, d] : diag) {
-      hidden_total += d.hidden;
-      exposed_total += d.exposed;
       wall_s = std::max(wall_s, d.train);
     }
-    const double comm_total = hidden_total + exposed_total;
-    const double overlap_efficiency_pct =
-        comm_total > 0.0 ? 100.0 * hidden_total / comm_total : 0.0;
-    std::printf(
-        "overlap: comm_hidden=%.3fs comm_exposed=%.3fs efficiency=%.1f%%\n",
-        hidden_total, exposed_total, overlap_efficiency_pct);
 
     // Classification: which phase's slowest rank dominates the critical path.
     // data/compute name the slow rank directly; comm_wait is symptomatic (the
@@ -715,12 +588,10 @@ int main(int argc, char** argv) {
         "EGERIA_DIAGNOSIS {\"classification\":\"%s\","
         "\"dominant_phase\":\"%s\",\"dominant_rank\":%d,"
         "\"dominant_seconds\":%.6f,\"straggler_rank\":%d,"
-        "\"straggler_skew\":%.4f,\"overlap_efficiency_pct\":%.2f,"
-        "\"comm_hidden_s\":%.6f,\"comm_exposed_s\":%.6f,"
+        "\"straggler_skew\":%.4f,"
         "\"critical_path_s\":%.6f,\"wall_s\":%.6f,\"ranks\":%zu}\n",
         classification, dominant_phase, dominant->rank, dominant->seconds,
-        straggler_rank, straggler_skew, overlap_efficiency_pct, hidden_total,
-        exposed_total, critical_path_s, wall_s, diag.size());
+        straggler_rank, straggler_skew, critical_path_s, wall_s, diag.size());
   }
   return 0;
 }

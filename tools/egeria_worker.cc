@@ -24,24 +24,20 @@
 //
 // Flags:
 //   --rank=R --world=W --rendezvous=PATH   (required; env EGERIA_RANK /
-//       EGERIA_WORLD / EGERIA_RENDEZVOUS are fallbacks)
+//       EGERIA_WORLD / EGERIA_RENDEZVOUS are fallbacks; W >= 1, 0 <= R < W)
 //   --workload=tiny|fig10   (default tiny; see src/distributed/dist_workload.h)
-//   --epochs=N              (override the workload default)
+//   --epochs=N              (override the workload default; N >= 1)
 //   --egeria=0|1            (enable the freezing controller; default 0)
 //   --ckpt-dir=PATH         (checkpoint root; with a complete checkpoint
 //       present the rank RESUMES from it — rerunning the same command after a
 //       crash continues the run, even at a different --world: elastic restart)
 //   --ckpt-interval=N       (snapshot every N iterations; default 0 = off)
-//   --ckpt-keep=N           (complete checkpoints retained; default 2)
-//   --stop-after=N          (stop cleanly after N iterations, writing a final
-//       checkpoint — stages elastic-restart drills from the command line)
-//   --overlap=0|1           (overlap gradient communication with backward
-//       compute via per-stage buckets; default 1. Bitwise-identical results
-//       either way — 0 keeps the sequential round as the pin baseline. Every
-//       rank of a world must agree.)
+//   --ckpt-keep=N           (complete checkpoints retained; default 2, N >= 1)
+//   --stop-after=N          (stop cleanly after N >= 1 iterations, writing a
+//       final checkpoint — stages elastic-restart drills from the command line)
 //   --async-ckpt=0|1        (background checkpoint writes with deferred
 //       manifest commit; default 1. Persisted state is bitwise-identical.)
-//   --connect-timeout=S --io-timeout=S
+//   --connect-timeout=S --io-timeout=S   (seconds, S > 0)
 //   --hb-interval=S         (heartbeat failure-detector period; default 2.0,
 //       0 disables. Every rank of a world must agree.)
 //   --fault=SPEC            (test-only deterministic fault injection: comma-
@@ -54,12 +50,20 @@
 //       command can fault a single rank of the world. Malformed specs are a
 //       usage error, exit 2.)
 //
+// A numeric value must parse whole and lie in its range above; anything else
+// (trailing junk, a non-number, an out-of-range value) is a usage error, exit 2,
+// raised before the rank touches the rendezvous.
+//
 // Env: EGERIA_TRACE=1 writes trace_rank<r>.json at exit; EGERIA_EXPORTER=1
 // starts the live HTTP exporter (/metrics, /healthz, /trace — see
 // src/obs/exporter.h) on an ephemeral loopback port published to
 // $EGERIA_TRACE_DIR/obs_port_rank<r>.
 #include <unistd.h>
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -86,15 +90,46 @@ bool FlagValue(const char* arg, const char* name, std::string* out) {
   return true;
 }
 
-int EnvOrDie(const char* flag, const char* env_name, const std::string& flag_value) {
+// The flag's value, else $env_name; neither is a usage error (exit 2).
+std::string FlagOrEnv(const char* flag, const char* env_name,
+                      const std::string& flag_value) {
   if (!flag_value.empty()) {
-    return std::atoi(flag_value.c_str());
+    return flag_value;
   }
   if (const char* env = std::getenv(env_name)) {
-    return std::atoi(env);
+    return env;
   }
   std::fprintf(stderr, "egeria_worker: missing --%s / $%s\n", flag, env_name);
   std::exit(2);
+}
+
+// The whole of `value` as a base-10 integer in [lo, hi], else a usage error
+// (exit 2). atoi would read "4O" as 4 and "x" as 0.
+int64_t IntFlag(const char* flag, const std::string& value, int64_t lo, int64_t hi) {
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(value.c_str(), &end, 10);
+  if (value.empty() || *end != '\0' || errno != 0 || v < lo || v > hi) {
+    std::fprintf(stderr, "egeria_worker: --%s=%s: expected an integer in [%lld, %lld]\n",
+                 flag, value.c_str(), static_cast<long long>(lo),
+                 static_cast<long long>(hi));
+    std::exit(2);
+  }
+  return v;
+}
+
+// The whole of `value` as a finite number of seconds, > 0 (or >= 0 when
+// `zero_ok`), else a usage error (exit 2).
+double SecondsFlag(const char* flag, const std::string& value, bool zero_ok) {
+  char* end = nullptr;
+  const double v = std::strtod(value.c_str(), &end);
+  if (value.empty() || *end != '\0' || !std::isfinite(v) || v < 0.0 ||
+      (v == 0.0 && !zero_ok)) {
+    std::fprintf(stderr, "egeria_worker: --%s=%s: expected seconds %s 0\n", flag,
+                 value.c_str(), zero_ok ? ">=" : ">");
+    std::exit(2);
+  }
+  return v;
 }
 
 [[noreturn]] void HangForever() {
@@ -160,7 +195,6 @@ int Main(int argc, char** argv) {
   std::string ckpt_interval_s;
   std::string ckpt_keep_s;
   std::string stop_after_s;
-  std::string overlap_s = "1";
   std::string async_ckpt_s = "1";
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
@@ -172,7 +206,6 @@ int Main(int argc, char** argv) {
         FlagValue(a, "ckpt-interval", &ckpt_interval_s) ||
         FlagValue(a, "ckpt-keep", &ckpt_keep_s) ||
         FlagValue(a, "stop-after", &stop_after_s) ||
-        FlagValue(a, "overlap", &overlap_s) ||
         FlagValue(a, "async-ckpt", &async_ckpt_s) ||
         FlagValue(a, "connect-timeout", &connect_timeout_s) ||
         FlagValue(a, "io-timeout", &io_timeout_s) ||
@@ -183,14 +216,48 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "egeria_worker: unknown argument %s\n", a);
     return 2;
   }
-  const int rank = EnvOrDie("rank", "EGERIA_RANK", rank_s);
-  const int world = EnvOrDie("world", "EGERIA_WORLD", world_s);
+  // Numeric flags are validated from here on, before anything connects.
+  const int world = static_cast<int>(
+      IntFlag("world", FlagOrEnv("world", "EGERIA_WORLD", world_s), 1, INT_MAX));
+  const int rank = static_cast<int>(
+      IntFlag("rank", FlagOrEnv("rank", "EGERIA_RANK", rank_s), 0, world - 1));
   // One rank per process: tag every log line and trace event with the rank
   // before any subsystem starts threads.
   SetLogRankTag(rank);
   trace::InitFromEnv();
   trace::SetProcessRank(rank);
   trace::SetProcessLabel("egeria_worker rank " + std::to_string(rank));
+  DistWorkload w = MakeDistWorkload(workload_name);
+  w.cfg.world = world;
+  if (!epochs_s.empty()) {
+    w.cfg.epochs = static_cast<int>(IntFlag("epochs", epochs_s, 1, INT_MAX));
+  }
+  w.cfg.enable_egeria = IntFlag("egeria", egeria_s, 0, 1) != 0;
+  w.cfg.reducer = DistTrainConfig::Reducer::kRingSharded;
+  w.cfg.ckpt.dir = ckpt_dir;
+  if (!ckpt_interval_s.empty()) {
+    w.cfg.ckpt.interval_iters = IntFlag("ckpt-interval", ckpt_interval_s, 0, INT64_MAX);
+  }
+  if (!ckpt_keep_s.empty()) {
+    w.cfg.ckpt.keep_last = static_cast<int>(IntFlag("ckpt-keep", ckpt_keep_s, 1, INT_MAX));
+  }
+  if (!stop_after_s.empty()) {
+    w.cfg.stop_after_iters = IntFlag("stop-after", stop_after_s, 1, INT64_MAX);
+  }
+  w.cfg.ckpt.async_save = IntFlag("async-ckpt", async_ckpt_s, 0, 1) != 0;
+
+  TcpTransportOptions topts;
+  topts.rank = rank;
+  topts.world = world;
+  topts.heartbeat_interval_s =
+      hb_interval_s.empty() ? 2.0 : SecondsFlag("hb-interval", hb_interval_s, true);
+  if (!connect_timeout_s.empty()) {
+    topts.connect_timeout_s = SecondsFlag("connect-timeout", connect_timeout_s, false);
+  }
+  if (!io_timeout_s.empty()) {
+    topts.io_timeout_s = SecondsFlag("io-timeout", io_timeout_s, false);
+  }
+
   if (rendezvous.empty()) {
     if (const char* env = std::getenv("EGERIA_RENDEZVOUS")) {
       rendezvous = env;
@@ -224,38 +291,7 @@ int Main(int argc, char** argv) {
     }
   }
 
-  DistWorkload w = MakeDistWorkload(workload_name);
-  w.cfg.world = world;
-  if (!epochs_s.empty()) {
-    w.cfg.epochs = std::atoi(epochs_s.c_str());
-  }
-  w.cfg.enable_egeria = std::atoi(egeria_s.c_str()) != 0;
-  w.cfg.reducer = DistTrainConfig::Reducer::kRingSharded;
-  w.cfg.ckpt.dir = ckpt_dir;
-  if (!ckpt_interval_s.empty()) {
-    w.cfg.ckpt.interval_iters = std::atoll(ckpt_interval_s.c_str());
-  }
-  if (!ckpt_keep_s.empty()) {
-    w.cfg.ckpt.keep_last = std::atoi(ckpt_keep_s.c_str());
-  }
-  if (!stop_after_s.empty()) {
-    w.cfg.stop_after_iters = std::atoll(stop_after_s.c_str());
-  }
-  w.cfg.overlap_comm = std::atoi(overlap_s.c_str()) != 0;
-  w.cfg.ckpt.async_save = std::atoi(async_ckpt_s.c_str()) != 0;
-
-  TcpTransportOptions topts;
-  topts.rank = rank;
-  topts.world = world;
   topts.rendezvous_file = rendezvous;
-  topts.heartbeat_interval_s =
-      hb_interval_s.empty() ? 2.0 : std::atof(hb_interval_s.c_str());
-  if (!connect_timeout_s.empty()) {
-    topts.connect_timeout_s = std::atof(connect_timeout_s.c_str());
-  }
-  if (!io_timeout_s.empty()) {
-    topts.io_timeout_s = std::atof(io_timeout_s.c_str());
-  }
   // Transport-level faults fire inside the TCP pump, after the frame digest
   // is fixed; the iteration hook below arms them.
   topts.faults = plan.empty() ? nullptr : &plan;
@@ -317,19 +353,16 @@ int Main(int argc, char** argv) {
 
   for (const DistReshardEvent& ev : r.reshard_events) {
     std::printf("EGERIA_RESHARD iter=%lld frontier=%d active_elems=%lld "
-                "payload_bytes=%lld opt_state_bytes=%lld allreduce_s_per_iter=%.6f "
-                "comm_hidden_s_per_iter=%.6f comm_exposed_s_per_iter=%.6f\n",
+                "payload_bytes=%lld opt_state_bytes=%lld allreduce_s_per_iter=%.6f\n",
                 static_cast<long long>(ev.iter), ev.frontier,
                 static_cast<long long>(ev.active_elems),
                 static_cast<long long>(ev.payload_bytes_per_iter),
                 static_cast<long long>(ev.opt_state_bytes_per_rank),
-                ev.allreduce_seconds_per_iter, ev.comm_hidden_s_per_iter,
-                ev.comm_exposed_s_per_iter);
+                ev.allreduce_seconds_per_iter);
   }
   std::printf("EGERIA_RESULT rank=%d world=%d workload=%s params_hash=%016llx "
               "final_frontier=%d iterations=%lld bytes_synced=%lld "
               "bytes_full_model=%lld wire_bytes=%lld allreduce_seconds=%.6f "
-              "comm_hidden_seconds=%.6f comm_exposed_seconds=%.6f "
               "final_acc=%.4f resumed_from=%lld stopped_early=%d "
               "data_s=%.6f fp_s=%.6f bp_s=%.6f opt_s=%.6f train_s=%.6f\n",
               rank, world, w.name.c_str(),
@@ -338,7 +371,6 @@ int Main(int argc, char** argv) {
               static_cast<long long>(r.bytes_synced),
               static_cast<long long>(r.bytes_full_model),
               static_cast<long long>(r.wire_bytes), r.allreduce_seconds,
-              r.comm_hidden_seconds, r.comm_exposed_seconds,
               r.final_display, static_cast<long long>(r.resumed_from_iter),
               r.stopped_early ? 1 : 0, r.data_seconds, r.fp_seconds,
               r.bp_seconds, r.opt_seconds, r.train_seconds);
