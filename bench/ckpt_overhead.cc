@@ -59,7 +59,6 @@ void BenchWorkload(const std::string& name, int rounds) {
   int64_t file_bytes = 0;
   for (int r = 0; r < rounds; ++r) {
     CkptManifest m;
-    m.kind = "trainer";
     m.iter = r;
     m.dir = CheckpointStepDir(root, r);
     EnsureDir(m.dir);

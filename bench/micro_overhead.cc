@@ -75,7 +75,7 @@ void BM_CacheStoreBatch(benchmark::State& state) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "egeria_bench_cache_store").string();
   ActivationCache cache(dir, 256);
-  cache.SetStage(0);
+  cache.SetKey(0, Precision::kFloat32, /*generation=*/1);
   Rng rng(7);
   Tensor act = Tensor::Randn({16, 8, 8, 8}, rng);
   int64_t id = 0;
@@ -124,7 +124,7 @@ void BM_CacheFetchBatchFromMemory(benchmark::State& state) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "egeria_bench_cache_fetch").string();
   ActivationCache cache(dir, 256);
-  cache.SetStage(0);
+  cache.SetKey(0, Precision::kFloat32, /*generation=*/1);
   Rng rng(8);
   Tensor act = Tensor::Randn({16, 8, 8, 8}, rng);
   std::vector<int64_t> ids(16);

@@ -96,7 +96,7 @@ int Main() {
   };
   const Entry entries[] = {
       // Seeds are the calibrated task instances whose baselines converge with
-      // margin inside the schedule (DESIGN.md: paper-scale models always do; at
+      // margin inside the schedule (paper-scale models always do; at
       // micro-scale some instances keep improving to the last epoch, where
       // freezing anything is unprofitable by construction).
       {"ResNet-50 (1x2)", "28%", bench::MakeResNet50Workload, 4, 14},

@@ -1,9 +1,9 @@
 // Shared workload factories for the figure/table benches.
 //
 // Every workload is a CPU-scaled stand-in that preserves the paper counterpart's
-// *structure* (stage layout, parameter distribution across depth, schedule shape);
-// see DESIGN.md S1 for the substitution table. EGERIA_BENCH_SCALE (float, default 1)
-// scales epoch counts for quick smoke runs.
+// *structure* (stage layout, parameter distribution across depth, schedule
+// shape). EGERIA_BENCH_SCALE (float, default 1) scales epoch counts for quick
+// smoke runs.
 #ifndef EGERIA_BENCH_WORKLOADS_H_
 #define EGERIA_BENCH_WORKLOADS_H_
 

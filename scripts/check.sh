@@ -286,7 +286,7 @@ EGERIA_TRACE=1 EGERIA_TRACE_DIR="$strag_tmp" EGERIA_EXPORTER=1 \
 strag_run_pid=$!
 # Scrape rank 0's exporter mid-run: the port file (tmp+rename, so complete the
 # moment it exists) names the ephemeral port. Retry until the scrape contains
-# the dist-phase histograms — an early scrape can land before the trainer has
+# the trainer-phase histograms — an early scrape can land before the trainer has
 # registered them — or the run ends (which fails the assertion below).
 scrape_file="$strag_tmp/scrape_metrics.txt"
 scrape_ok=0
@@ -303,7 +303,7 @@ except OSError:
 open(sys.argv[2], "wb").write(body)
 EOF
     then
-      if grep -q '^# TYPE egeria_dist_fp_s histogram' "$scrape_file"; then
+      if grep -q '^# TYPE egeria_trainer_fp_s histogram' "$scrape_file"; then
         scrape_ok=1
         break
       fi

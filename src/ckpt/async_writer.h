@@ -1,10 +1,12 @@
 // Background checkpoint writer: takes snapshot-write jobs off the training
 // hot path, so a save's file writes run behind the next iteration's compute.
 //
-// Protocol (dist_trainer.cc's deferred-commit save):
+// Protocol (the Trainer's deferred-commit save, at every world size; a
+// Trainer creates its writer only when checkpointing is on):
 //   1. At a checkpoint boundary the trainer CAPTURES its state in memory —
-//      ExportModelState/ExportModelBuffers clone tensors, ExportShard copies
-//      the velocity shard — so the live model may keep training immediately.
+//      ExportModelState/ExportModelBuffers and the optimizer export clone
+//      tensors, ExportShard copies the velocity shard — so the live model may
+//      keep training immediately.
 //   2. The captured snapshot is Submit()ted; this thread serializes it to the
 //      step directory while the next iteration computes (the double buffer:
 //      live state in the model, frozen state in the job).

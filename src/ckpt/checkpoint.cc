@@ -120,13 +120,9 @@ bool CommitManifest(const CkptManifest& m) {
       return false;
     }
     os << "EGERIA-CKPT " << m.version << "\n";
-    os << "kind " << m.kind << "\n";
     os << "iter " << m.iter << "\n";
     os << "world " << m.world << "\n";
     os << "frontier " << m.frontier << "\n";
-    os << "next_frontier " << m.next_frontier << "\n";
-    os << "frozen_elems " << m.frozen_elems << "\n";
-    os << "active_elems " << m.active_elems << "\n";
     char hex[32];
     for (const ManifestFile& f : m.files) {
       std::snprintf(hex, sizeof(hex), "%016llx",
@@ -166,20 +162,12 @@ std::optional<CkptManifest> ReadManifest(const std::string& step_dir) {
     if (key == "EGERIA-CKPT") {
       tokens >> m.version;
       header_seen = true;
-    } else if (key == "kind") {
-      tokens >> m.kind;
     } else if (key == "iter") {
       tokens >> m.iter;
     } else if (key == "world") {
       tokens >> m.world;
     } else if (key == "frontier") {
       tokens >> m.frontier;
-    } else if (key == "next_frontier") {
-      tokens >> m.next_frontier;
-    } else if (key == "frozen_elems") {
-      tokens >> m.frozen_elems;
-    } else if (key == "active_elems") {
-      tokens >> m.active_elems;
     } else if (key == "file") {
       ManifestFile f;
       std::string hex;
@@ -192,8 +180,13 @@ std::optional<CkptManifest> ReadManifest(const std::string& step_dir) {
     }
     // Unknown keys are skipped: future versions may append fields.
   }
-  if (!header_seen || m.version < 1 || m.world < 1 || m.iter < 0) {
+  if (!header_seen || m.world < 1 || m.iter < 0) {
     EGERIA_LOG(kError) << step_dir << ": malformed manifest header";
+    return std::nullopt;
+  }
+  if (m.version != CkptManifest{}.version) {
+    EGERIA_LOG(kWarn) << step_dir << ": manifest version " << m.version
+                      << " is not this layout's; ignored";
     return std::nullopt;
   }
   return m;

@@ -1,23 +1,25 @@
 // Versioned training-state checkpoints with an atomic manifest commit.
 //
-// On-disk layout (one root directory per run):
+// On-disk layout (one root directory per run; the same layout at every world
+// size, written by Trainer):
 //   <root>/step_000000056/          one complete snapshot at iteration 56
-//     model.state                   model state dict (+ rank-0 optimizer state)
-//     trainer.state                 loop cursors (iter, frontier, bootstrap, ...)
+//     model.state                   rank 0's model state dict (+ the
+//                                   replicated optimizer's state)
+//     trainer.state                 bootstrap / knowledge-stage state
 //     controller.state              freezing policy + reference snapshot (Egeria)
-//     shard_r0.state ...            per-rank ZeRO-1 momentum shards (distributed)
+//     buffers_r0.state ...          per-rank BatchNorm running statistics
+//     shard_r0.state ...            per-rank ZeRO-1 momentum shards (ring sync)
 //     MANIFEST                      commit record: header kv + per-file checksums
 //
-// Commit protocol: every data file is written first (each writer owns its
-// file; distributed ranks write their shard, then barrier), and only then is
-// MANIFEST written to MANIFEST.tmp and atomically renamed into place by the
-// committing writer (rank 0). A step directory WITHOUT a MANIFEST is by
-// definition incomplete — a crash at any point leaves either a complete older
-// checkpoint or an incomplete directory that discovery ignores and retention
-// sweeps. Readers additionally verify every listed file's size and FNV-1a
-// checksum before trusting a checkpoint, so a torn or bit-flipped file
-// demotes the whole step to "incomplete" rather than feeding garbage into a
-// resume.
+// Commit protocol: every data file is written first (each rank writes its own
+// files, then the ranks reduce their write status), and only then is MANIFEST
+// written to MANIFEST.tmp and atomically renamed into place by rank 0. A step
+// directory WITHOUT a MANIFEST is by definition incomplete — a crash at any
+// point leaves either a complete older checkpoint or an incomplete directory
+// that discovery ignores and retention sweeps. Readers additionally verify
+// every listed file's size and FNV-1a checksum before trusting a checkpoint,
+// so a torn or bit-flipped file demotes the whole step to "incomplete" rather
+// than feeding garbage into a resume.
 //
 // Retention: keep the newest `keep_last` complete checkpoints; older complete
 // steps and incomplete debris older than the newest complete step are
@@ -33,7 +35,7 @@
 
 namespace egeria {
 
-// Shared knob block embedded in TrainConfig / DistTrainConfig.
+// Checkpoint knobs of TrainConfig (and so of DistTrainConfig).
 struct CheckpointOptions {
   std::string dir;             // empty = checkpointing disabled
   int64_t interval_iters = 0;  // snapshot every N iterations (0 = never)
@@ -42,14 +44,12 @@ struct CheckpointOptions {
   // (auto-restart: rerunning the same command continues the run).
   bool resume = true;
 
-  // Distributed path: capture the snapshot in memory at the checkpoint
-  // boundary, serialize it on a background thread (ckpt/async_writer.h), and
-  // defer the collective manifest commit to the next iteration boundary — the
-  // write overlaps one iteration of compute. The snapshot is cloned at
-  // capture time, so the persisted state is bitwise the synchronous path's.
-  // false = write and commit inline (the pre-overlap behavior). The
-  // single-process trainer always saves inline (its snapshots are off the
-  // iteration path already).
+  // Capture the snapshot in memory at the checkpoint boundary, serialize it
+  // on a background thread (ckpt/async_writer.h), and defer the collective
+  // manifest commit to the next iteration boundary — the write overlaps one
+  // iteration of compute. The snapshot is cloned at capture time, so the
+  // persisted state is bitwise the synchronous path's. false = write and
+  // commit inline.
   bool async_save = true;
 
   bool enabled() const { return !dir.empty() && interval_iters > 0; }
@@ -62,14 +62,12 @@ struct ManifestFile {
 };
 
 struct CkptManifest {
-  int version = 1;
-  std::string kind;        // "trainer" (single-process) | "dist"
+  // 2: the one layout above. Version 1 steps (separate single-process and
+  // distributed layouts) are not read.
+  int version = 2;
   int64_t iter = 0;        // iterations completed when the snapshot was taken
-  int world = 1;           // world size that wrote it (1 for trainer)
+  int world = 1;           // world size that wrote it
   int frontier = 0;
-  int next_frontier = 0;   // dist: the frontier broadcast for iter+1
-  int64_t frozen_elems = 0;   // dist: flat partition the shards were taken under
-  int64_t active_elems = 0;
   std::vector<ManifestFile> files;
   std::string dir;         // step directory (filled by readers/writers)
 

@@ -169,13 +169,11 @@ void ActivationCache::SetKey(int stage, Precision precision, uint64_t generation
   disk_order_.clear();
   disk_bytes_ = 0;
   stats_.bytes_written = 0;
-  if (generation_ != 0 && ManifestMatches()) {
+  if (ManifestMatches()) {
     AdoptDirectory();
   } else {
     SweepDirectory();
-    if (generation_ != 0) {
-      WriteManifest();
-    }
+    WriteManifest();
   }
 }
 
@@ -189,7 +187,7 @@ void ActivationCache::Clear() {
   disk_bytes_ = 0;
   stats_.bytes_written = 0;
   SweepDirectory();
-  if (generation_ != 0) {
+  if (configured_) {
     WriteManifest();
   }
 }

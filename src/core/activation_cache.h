@@ -20,8 +20,7 @@
 // a changed component invalidates; SetKey on a fresh instance whose directory
 // already holds a manifest matching the full key ADOPTS the surviving spill
 // files instead of sweeping them — this is what lets the store survive a crash
-// and serve again after checkpoint resume. generation == 0 means "unkeyed"
-// (legacy SetStage semantics): never adopt, always sweep on key change.
+// and serve again after checkpoint resume.
 //
 // Disk capacity: stores beyond max_disk_bytes evict the oldest entries of the
 // current key (FIFO). An evicted sample is forgotten entirely (memory + disk)
@@ -73,14 +72,10 @@ class ActivationCache {
   ~ActivationCache();
 
   // Declares the composite key being cached. A changed key invalidates
-  // everything — except that a nonzero `generation` matching the directory's
-  // manifest adopts the surviving spill files (crash/resume continuity).
-  // Calling with the current key is a cheap no-op (safe per iteration).
+  // everything — except that a key matching the directory's manifest adopts
+  // the surviving spill files (crash/resume continuity). Calling with the
+  // current key is a cheap no-op (safe per iteration).
   void SetKey(int stage, Precision precision, uint64_t generation);
-
-  // Legacy single-axis key: SetKey(stage, kFloat32, 0) — fp32, unkeyed, never
-  // adopts. Kept for benches and the PR 5 hygiene pins.
-  void SetStage(int stage) { SetKey(stage, Precision::kFloat32, 0); }
   int stage() const;
   uint64_t generation() const;
 

@@ -45,20 +45,20 @@ struct EgeriaConfig {
   Precision reference_precision = Precision::kInt8;
   QuantMode quant_mode = QuantMode::kStatic;
 
-  // Forward precision for frozen-prefix stages (single-process Trainer only;
-  // the distributed harness does not apply it). A frozen stage's forward is
-  // input-deterministic and its parameters fixed, so it can run through the
-  // same reduced-precision kernels as the reference model; kFloat16 halves the
-  // frozen prefix's weight bandwidth on cache-miss iterations. kFloat32 (the
-  // default) keeps the exact pre-freeze forward. Also ignored by models that
-  // do not support forward substitution (e.g. the encoder-decoder Transformer).
+  // Forward precision for frozen-prefix stages (applied on every rank of a
+  // world). A frozen stage's forward is input-deterministic and its
+  // parameters fixed, so it can run through the same reduced-precision kernels
+  // as the reference model; kFloat16 halves the frozen prefix's weight
+  // bandwidth on cache-miss iterations. kFloat32 (the default) keeps the exact
+  // pre-freeze forward. Ignored by models that do not support forward
+  // substitution (e.g. the encoder-decoder Transformer).
   Precision frozen_prefix_precision = Precision::kFloat32;
 
   // Update the reference model from a fresh snapshot every this many plasticity
   // evaluations (the paper's periodic update). Both extremes misbehave: a stale
   // reference amplifies SGD fluctuations (paper S4.1.3), while refreshing every
   // 1-2 evals makes plasticity collapse to quantization noise — falsely stationary
-  // while the model still improves — causing premature freezes (EXPERIMENTS.md).
+  // while the model still improves — causing premature freezes.
   // ~2x window_w is a good default.
   int ref_update_evals = 10;
 
@@ -68,9 +68,11 @@ struct EgeriaConfig {
 
   // Forward-pass skipping via the persistent frozen-feature store (S4.3).
   // cache_dir empty: with checkpointing enabled the store lives under
-  // <checkpoint.dir>/feature_store and survives crash/resume (adopted back by
-  // its generation-keyed manifest); otherwise an ephemeral per-process temp
+  // <ckpt.dir>/feature_store and survives crash/resume (adopted back by its
+  // generation-keyed manifest); otherwise an ephemeral per-process temp
   // directory is used. A non-empty cache_dir is always treated as persistent.
+  // In a world of W > 1 ranks every rank keeps its own store, in the chosen
+  // directory suffixed "_r<rank>".
   bool enable_cache = true;
   std::string cache_dir;
   int64_t cache_memory_batches = 5;  // "the cache only stores the recent five

@@ -2,10 +2,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
+#include "src/ckpt/async_writer.h"
 #include "src/ckpt/state_dict.h"
 #include "src/ckpt/wire.h"
 #include "src/obs/metrics.h"
@@ -13,33 +16,73 @@
 #include "src/obs/trace.h"
 #include "src/tensor/serialize.h"
 #include "src/util/logging.h"
-#include "src/util/timer.h"
 
 namespace egeria {
 
 namespace {
 
+// The anonymous per-process store directory. Ranks of an in-process world
+// share the pid and the seed; the Trainer adds the rank at W > 1.
 std::string DefaultCacheDir(uint64_t seed) {
   const auto base = std::filesystem::temp_directory_path() / "egeria_cache";
   return (base / std::to_string(::getpid() * 1000003ULL + seed)).string();
 }
 
+constexpr uint32_t kTrainerStateMagic = 0x52544745;  // 'EGTR'
+constexpr uint32_t kTrainerStateVersion = 2;  // iter/frontier: the manifest's
+
+// Per-replica buffer section (BatchNorm running statistics): never
+// synchronized by training, so every rank persists its own.
+std::string BuffersFileName(int rank) {
+  return "buffers_r" + std::to_string(rank) + ".state";
+}
+
+bool WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return static_cast<bool>(os);
+}
+
 }  // namespace
 
+// Propagates a transport error out of the loop as a value: a dead, hung or
+// corrupting peer surfaces to the caller, never as an abort.
+#define EGERIA_RETURN_IF_ERROR(expr) \
+  do {                               \
+    TransportStatus st_ = (expr);    \
+    if (!st_.ok()) {                 \
+      return st_;                    \
+    }                                \
+  } while (0)
+
+std::unique_ptr<Optimizer> MakeOptimizer(const TrainConfig& cfg) {
+  if (cfg.optimizer == TrainConfig::Optim::kSgd) {
+    return std::make_unique<Sgd>(cfg.momentum, cfg.weight_decay);
+  }
+  return std::make_unique<Adam>(0.9F, 0.999F, 1e-8F, cfg.weight_decay);
+}
+
 Trainer::Trainer(ChainModel& model, const Dataset& train_data, const Dataset& val_data,
-                 TrainConfig cfg)
+                 TrainConfig cfg, GradientSync* sync)
     : model_(model),
       train_data_(train_data),
       val_data_(val_data),
       cfg_(std::move(cfg)),
       loader_(train_data_, cfg_.batch_size, /*shuffle=*/true, cfg_.seed,
               cfg_.train_samples_limit),
-      val_loader_(val_data_, cfg_.batch_size, /*shuffle=*/false, cfg_.seed + 1) {
+      val_loader_(val_data_, cfg_.batch_size, /*shuffle=*/false, cfg_.seed + 1),
+      sync_(sync) {
   EGERIA_CHECK_MSG(cfg_.lr_schedule != nullptr, "TrainConfig.lr_schedule is required");
-  optimizer_ = MakeOptimizer();
+  if (sync_ == nullptr) {
+    owned_sync_ = std::make_unique<LocalSync>(MakeOptimizer(cfg_));
+    sync_ = owned_sync_.get();
+  }
+  EGERIA_CHECK_MSG(IterationsPerEpoch() >= 1, "dataset too small for this world size");
   if (cfg_.enable_egeria) {
-    controller_ = std::make_unique<EgeriaController>(cfg_.egeria, model_.NumStages(),
-                                                     cfg_.lr_schedule->IsAnnealing());
+    if (sync_->Rank() == 0) {
+      controller_ = std::make_unique<EgeriaController>(cfg_.egeria, model_.NumStages(),
+                                                       cfg_.lr_schedule->IsAnnealing());
+    }
     if (cfg_.egeria.enable_cache) {
       // Persistence policy: an explicit cache_dir is the caller opting into a
       // durable store; with checkpointing on, the store lives next to the
@@ -47,30 +90,29 @@ Trainer::Trainer(ChainModel& model, const Dataset& train_data, const Dataset& va
       // adoption safe). Only the anonymous per-pid temp dir is ephemeral.
       std::string dir = cfg_.egeria.cache_dir;
       bool persistent = !dir.empty();
-      if (dir.empty() && cfg_.checkpoint.enabled()) {
-        dir = cfg_.checkpoint.dir + "/feature_store";
+      if (dir.empty() && cfg_.ckpt.enabled()) {
+        dir = cfg_.ckpt.dir + "/feature_store";
         persistent = true;
       }
       if (dir.empty()) {
         dir = DefaultCacheDir(cfg_.seed);
+      }
+      if (sync_->World() > 1) {
+        dir += "_r" + std::to_string(sync_->Rank());  // one store per rank
       }
       cache_ = std::make_unique<ActivationCache>(
           dir, cfg_.egeria.cache_memory_batches * cfg_.batch_size,
           cfg_.egeria.cache_max_disk_bytes, persistent);
     }
   }
+  if (cfg_.ckpt.enabled() && cfg_.ckpt.async_save) {
+    ckpt_writer_ = std::make_unique<AsyncCheckpointWriter>();
+  }
 }
 
 Trainer::~Trainer() = default;
 
-std::unique_ptr<Optimizer> Trainer::MakeOptimizer() const {
-  if (cfg_.optimizer == TrainConfig::Optim::kSgd) {
-    return std::make_unique<Sgd>(cfg_.momentum, cfg_.weight_decay);
-  }
-  return std::make_unique<Adam>(0.9F, 0.999F, 1e-8F, cfg_.weight_decay);
-}
-
-int64_t Trainer::IterationsPerEpoch() const { return loader_.NumBatches(); }
+int64_t Trainer::IterationsPerEpoch() const { return loader_.NumBatches() / sync_->World(); }
 
 int64_t Trainer::TotalIterations() const {
   return IterationsPerEpoch() * static_cast<int64_t>(cfg_.epochs);
@@ -91,42 +133,39 @@ uint64_t Trainer::FrozenPrefixHash() {
 
 uint64_t Trainer::CacheGeneration() const {
   const uint64_t gen = Fnv1a64(&aug_signature_, sizeof(aug_signature_), frozen_prefix_hash_);
-  return gen == 0 ? 1 : gen;  // 0 is ActivationCache's legacy unkeyed mode.
+  // Never 0: the remap keeps every generation the store ever recorded (and so
+  // every persisted manifest) bitwise what it was.
+  return gen == 0 ? 1 : gen;
+}
+
+void Trainer::SetFrontier(int frontier) {
+  const Precision prefix = cfg_.egeria.frozen_prefix_precision;
+  bool sub_applied = frontier > 0 && prefix != Precision::kFloat32;
+  for (int i = 0; i < model_.NumStages(); ++i) {
+    const bool frozen = i < frontier;
+    model_.SetStageFrozen(i, frozen);
+    if (!frozen) {
+      model_.SetStageForwardPrecision(i, Precision::kFloat32);
+    } else if (prefix != Precision::kFloat32) {
+      // Frozen stages never see backward or updates again until an unfreeze,
+      // so their forwards can run through the reduced-precision kernels.
+      sub_applied = model_.SetStageForwardPrecision(i, prefix) && sub_applied;
+    }
+  }
+  frontier_ = frontier;
+  prefix_precision_ = sub_applied ? prefix : Precision::kFloat32;
+  frozen_prefix_hash_ = FrozenPrefixHash();
 }
 
 void Trainer::FreezeUpTo(int stage, int64_t iter) {
   EGERIA_CHECK(stage >= 0 && stage < model_.NumStages() - 1);
   const int old_frontier = frontier_;
-  bool sub_applied = cfg_.egeria.frozen_prefix_precision != Precision::kFloat32;
-  for (int i = 0; i <= stage; ++i) {
-    model_.SetStageFrozen(i, true);
-    if (cfg_.egeria.frozen_prefix_precision != Precision::kFloat32) {
-      // Frozen stages never see backward or updates again until an unfreeze,
-      // so their forwards can run through the reduced-precision kernels (the
-      // chain model keeps the clone until the precision is reset below).
-      sub_applied = model_.SetStageForwardPrecision(i, cfg_.egeria.frozen_prefix_precision) &&
-                    sub_applied;
-    }
-  }
-  prefix_precision_ =
-      sub_applied ? cfg_.egeria.frozen_prefix_precision : Precision::kFloat32;
-  frontier_ = stage + 1;
-  frozen_prefix_hash_ = FrozenPrefixHash();
-  if (cfg_.release_frozen_optimizer_state && frontier_ > old_frontier) {
-    // The newly frozen params are the prefix of the previously active list
-    // that the new active list no longer contains.
-    std::vector<Parameter*> was_active = model_.ParamsFrom(old_frontier);
-    const size_t still_active = model_.ParamsFrom(frontier_).size();
-    EGERIA_CHECK(was_active.size() >= still_active);
-    was_active.resize(was_active.size() - still_active);
-    optimizer_->ReleaseState(was_active);
-  }
+  SetFrontier(stage + 1);
   if (frontier_observer_ && frontier_ != old_frontier) {
     frontier_observer_(old_frontier, frontier_, iter);
   }
   result_.freeze_events.push_back({iter, static_cast<int>(iter / IterationsPerEpoch()),
                                    /*unfreeze=*/false, frontier_});
-  result_.frontier_timeline.emplace_back(iter, frontier_);
   if (cfg_.verbose) {
     EGERIA_LOG(kInfo) << "iter " << iter << ": froze stages [0," << stage
                       << "], frontier=" << frontier_;
@@ -135,13 +174,7 @@ void Trainer::FreezeUpTo(int stage, int64_t iter) {
 
 void Trainer::UnfreezeAll(int64_t iter) {
   const int old_frontier = frontier_;
-  for (int i = 0; i < model_.NumStages(); ++i) {
-    model_.SetStageFrozen(i, false);
-    model_.SetStageForwardPrecision(i, Precision::kFloat32);
-  }
-  frontier_ = 0;
-  frozen_prefix_hash_ = 0;
-  prefix_precision_ = Precision::kFloat32;
+  SetFrontier(0);
   if (frontier_observer_ && old_frontier != 0) {
     frontier_observer_(old_frontier, 0, iter);
   }
@@ -150,7 +183,6 @@ void Trainer::UnfreezeAll(int64_t iter) {
   }
   result_.freeze_events.push_back({iter, static_cast<int>(iter / IterationsPerEpoch()),
                                    /*unfreeze=*/true, 0});
-  result_.frontier_timeline.emplace_back(iter, 0);
   if (cfg_.verbose) {
     EGERIA_LOG(kInfo) << "iter " << iter << ": unfroze all layers";
   }
@@ -162,6 +194,26 @@ void Trainer::ApplyDecision(const FreezeDecision& d) {
   } else {
     UnfreezeAll(d.iter);
   }
+}
+
+void Trainer::MoveFrontier(int frontier, int64_t iter) {
+  if (frontier < frontier_) {
+    UnfreezeAll(iter);
+  }
+  if (frontier > frontier_) {
+    FreezeUpTo(frontier - 1, iter);
+  }
+}
+
+TransportStatus Trainer::SyncFrontier(int64_t first_iter) {
+  if (frontier_ == sync_frontier_) {
+    return TransportStatus::Ok();
+  }
+  TransportStatus st = sync_->Repartition(model_, sync_frontier_, frontier_, first_iter);
+  if (st.ok()) {
+    sync_frontier_ = frontier_;
+  }
+  return st;
 }
 
 void Trainer::MaybeSubmitEval(const Batch& batch, float lr, int64_t iter) {
@@ -215,156 +267,185 @@ void Trainer::UpdateBootstrap(double loss, int64_t iter) {
   bootstrap_prev_avg_ = avg;
 }
 
-namespace {
-constexpr uint32_t kTrainerStateMagic = 0x52544745;  // 'EGTR'
-constexpr uint32_t kTrainerStateVersion = 1;
-}  // namespace
-
-void Trainer::SaveTrainingCheckpoint(int64_t iter) {
-  obs::ScopedPhase ckpt_phase("ckpt", "trainer_save",
-                              &obs::GetHistogram("ckpt.save_s"));
-  CkptManifest m;
-  m.kind = "trainer";
-  m.iter = iter;
-  m.world = 1;
-  m.frontier = frontier_;
-  m.next_frontier = frontier_;
-  m.dir = CheckpointStepDir(cfg_.checkpoint.dir, iter);
-  if (!EnsureDir(m.dir)) {
-    return;
-  }
-
-  // Model state dict + optimizer state share one checkpoint file (the "#field"
-  // optimizer keys cannot collide with state-dict names).
-  Checkpoint state = ExportModelState(model_);
-  std::vector<Parameter*> params;
-  std::vector<std::string> names;
-  auto named = NamedParams(model_);
-  for (auto& [name, p] : named) {
-    names.push_back(std::move(name));
-    params.push_back(p);
-  }
-  optimizer_->ExportState(params, names, state);
-  bool ok = SaveCheckpoint(m.dir + "/model.state", state) &&
-            AddManifestFile(m, "model.state");
-
-  {
-    std::ofstream os(m.dir + "/trainer.state", std::ios::binary | std::ios::trunc);
+void Trainer::CaptureCheckpoint(int64_t iter) {
+  // Capture leg of capture->write->commit: the clone the background writer
+  // serializes. Its span sits on the training track; the write span it hands
+  // off shows up on the ckpt_writer track, overlapping the next iterations.
+  obs::ScopedPhase capture_phase("ckpt", "capture",
+                                 &obs::GetHistogram("ckpt.capture_s"));
+  const int rank = sync_->Rank();
+  const std::string step_dir = CheckpointStepDir(cfg_.ckpt.dir, iter);
+  bool ok = EnsureDir(step_dir);
+  // Clone the snapshot: the background writer must never read live state.
+  Checkpoint buffers = ExportModelBuffers(model_);
+  Checkpoint state;
+  std::string cursors;
+  std::string controller_bytes;
+  if (rank == 0) {
+    state = ExportModelState(model_);
+    std::ostringstream os(std::ios::binary);
     wire::Write(os, kTrainerStateMagic);
     wire::Write(os, kTrainerStateVersion);
-    wire::Write(os, iter);
-    wire::Write(os, static_cast<int32_t>(frontier_));
     wire::Write(os, static_cast<uint8_t>(knowledge_stage_ ? 1 : 0));
     wire::Write(os, bootstrap_prev_avg_);
     wire::Write(os, bootstrap_window_sum_);
     wire::Write(os, bootstrap_window_count_);
     wire::Write(os, result_.bootstrap_end_iter);
-    ok = ok && static_cast<bool>(os);
-  }
-  ok = ok && AddManifestFile(m, "trainer.state");
-
-  if (controller_ != nullptr) {
-    {
-      std::ofstream os(m.dir + "/controller.state", std::ios::binary | std::ios::trunc);
-      controller_->SaveState(os);
-      ok = ok && static_cast<bool>(os);
+    cursors = os.str();
+    if (controller_ != nullptr) {
+      std::ostringstream cs(std::ios::binary);
+      controller_->SaveState(cs);
+      ok = ok && static_cast<bool>(cs);
+      controller_bytes = cs.str();
     }
-    ok = ok && AddManifestFile(m, "controller.state");
+    ckpt_manifest_ = CkptManifest{};
+    ckpt_manifest_.iter = iter;
+    ckpt_manifest_.world = sync_->World();
+    ckpt_manifest_.frontier = frontier_;
+    ckpt_manifest_.dir = step_dir;
   }
-
-  if (!ok || !CommitManifest(m)) {
-    EGERIA_LOG(kError) << "checkpoint at iter " << iter
-                       << " failed; training continues uncheckpointed";
-    return;
+  auto write_sync_state = sync_->CaptureState(model_, rank == 0 ? &state : nullptr);
+  auto write = [rank, step_dir, buffers = std::move(buffers), state = std::move(state),
+                cursors = std::move(cursors), controller_bytes = std::move(controller_bytes),
+                has_controller = controller_ != nullptr,
+                write_sync_state = std::move(write_sync_state)]() -> bool {
+    bool wok = SaveCheckpoint(step_dir + "/" + BuffersFileName(rank), buffers);
+    if (write_sync_state) {
+      wok = wok && write_sync_state(step_dir);
+    }
+    if (rank == 0) {
+      wok = wok && SaveCheckpoint(step_dir + "/model.state", state) &&
+            WriteFile(step_dir + "/trainer.state", cursors);
+      if (has_controller) {
+        wok = wok && WriteFile(step_dir + "/controller.state", controller_bytes);
+      }
+    }
+    return wok;
+  };
+  ckpt_capture_ok_ = ok;
+  if (ckpt_writer_ != nullptr) {
+    ckpt_writer_->Submit(std::move(write));
+  } else {
+    ckpt_capture_ok_ = ok && write();
   }
-  ApplyRetention(cfg_.checkpoint.dir, cfg_.checkpoint.keep_last);
-  if (cfg_.verbose) {
-    EGERIA_LOG(kInfo) << "checkpointed iter " << iter << " -> " << m.dir;
-  }
+  ckpt_pending_ = true;
 }
 
-int64_t Trainer::TryResume() {
-  const auto m = FindLatestCheckpoint(cfg_.checkpoint.dir);
-  if (!m) {
-    return -1;
+TransportStatus Trainer::CommitCheckpoint() {
+  obs::ScopedPhase commit_phase("ckpt", "commit", &obs::GetHistogram("ckpt.commit_s"));
+  ckpt_pending_ = false;
+  bool local_ok = ckpt_capture_ok_;
+  if (ckpt_writer_ != nullptr) {
+    local_ok = ckpt_writer_->Wait() && local_ok;
   }
-  if (m->kind != "trainer") {
-    EGERIA_LOG(kError) << m->dir << " is a '" << m->kind
-                       << "' checkpoint; Trainer cannot resume from it";
-    return -1;
+  int failing_rank = -1;
+  EGERIA_RETURN_IF_ERROR(sync_->ReduceFailingRank(local_ok, &failing_rank));
+  if (sync_->Rank() == 0) {
+    CkptManifest m = ckpt_manifest_;
+    if (failing_rank >= 0) {
+      EGERIA_LOG(kError) << "checkpoint at iter " << m.iter << ": rank " << failing_rank
+                         << " failed writing its files; step abandoned (training "
+                            "continues from the previous checkpoint)";
+    } else {
+      bool ok = AddManifestFile(m, "model.state") && AddManifestFile(m, "trainer.state");
+      if (ok && controller_ != nullptr) {
+        ok = AddManifestFile(m, "controller.state");
+      }
+      for (int r = 0; r < m.world && ok; ++r) {
+        ok = AddManifestFile(m, BuffersFileName(r));
+        const std::string rank_file = sync_->RankStateFile(r);
+        if (ok && !rank_file.empty()) {
+          ok = AddManifestFile(m, rank_file);
+        }
+      }
+      if (!ok || !CommitManifest(m)) {
+        EGERIA_LOG(kError) << "checkpoint at iter " << m.iter
+                           << " failed; training continues uncheckpointed";
+      } else {
+        ApplyRetention(cfg_.ckpt.dir, cfg_.ckpt.keep_last);
+        if (cfg_.verbose) {
+          EGERIA_LOG(kInfo) << "checkpointed iter " << m.iter << " -> " << m.dir;
+        }
+      }
+    }
   }
-  Checkpoint state;
-  if (!LoadCheckpoint(m->dir + "/model.state", state)) {
-    // Nothing restored yet: a fresh start from scratch is still sound.
-    return -1;
-  }
-  // From here on the restore mutates live state (model weights first), so a
-  // failure must be fatal: returning -1 would silently train a "fresh" run
-  // from half-restored weights. These paths only fire when the checkpoint
-  // does not match the configured model/optimizer — an operator error worth
-  // stopping on, not papering over.
-  EGERIA_CHECK_MSG(LoadModelState(state, model_),
-                   m->dir + ": checkpoint does not match this model architecture");
-  std::vector<Parameter*> params;
-  std::vector<std::string> names;
-  auto named = NamedParams(model_);
-  for (auto& [name, p] : named) {
-    names.push_back(std::move(name));
-    params.push_back(p);
-  }
-  EGERIA_CHECK_MSG(optimizer_->ImportState(params, names, state),
-                   m->dir + ": optimizer state does not match this configuration");
+  // Every rank leaves knowing the step's fate before anyone can crash ahead,
+  // so "latest complete checkpoint" is well-defined for the whole world.
+  return sync_->Barrier();
+}
 
-  std::ifstream is(m->dir + "/trainer.state", std::ios::binary);
+TransportStatus Trainer::TryResume(int64_t* resumed_iter) {
+  *resumed_iter = -1;
+  // Rank 0 picks the step and broadcasts it, so every rank restores the same
+  // one even if retention or a concurrent writer could race a per-rank scan.
+  int64_t found = -1;
+  if (sync_->Rank() == 0) {
+    if (const auto m = FindLatestCheckpoint(cfg_.ckpt.dir)) {
+      found = m->iter;
+    }
+  }
+  EGERIA_RETURN_IF_ERROR(sync_->Broadcast(&found));
+  if (found < 0) {
+    return TransportStatus::Ok();
+  }
+  const std::string step_dir = CheckpointStepDir(cfg_.ckpt.dir, found);
+  const auto m = ReadManifest(step_dir);
+  // The restore mutates live state (model weights first), so every failure
+  // is fatal: a "fresh" run from half-restored weights would be silently
+  // wrong. These fire only when the checkpoint does not match the configured
+  // model/optimizer — an operator error worth stopping on.
+  EGERIA_CHECK_MSG(m.has_value(), "resume checkpoint vanished: " + step_dir);
+  EGERIA_CHECK_MSG(m->frontier >= 0 && m->frontier < model_.NumStages(),
+                   step_dir + ": frontier does not fit this model");
+  Checkpoint state;
+  EGERIA_CHECK_MSG(LoadCheckpoint(step_dir + "/model.state", state) &&
+                       LoadModelState(state, model_),
+                   step_dir + ": checkpoint does not match this model architecture");
+  // Buffers (BatchNorm running stats) are per-replica: restore this rank's
+  // own section over the rank-0 copy model.state carries. An elastic restart
+  // maps new ranks onto saved replicas round-robin — buffers have no
+  // world-invariant owner.
+  Checkpoint buffers;
+  EGERIA_CHECK_MSG(
+      LoadCheckpoint(step_dir + "/" + BuffersFileName(sync_->Rank() % m->world), buffers) &&
+          LoadModelBuffers(buffers, model_),
+      step_dir + ": replica buffer restore failed");
+
+  std::ifstream is(step_dir + "/trainer.state", std::ios::binary);
   uint32_t magic = 0;
   uint32_t version = 0;
-  int64_t iter = 0;
-  int32_t frontier = 0;
   uint8_t knowledge_stage = 0;
   EGERIA_CHECK_MSG(wire::Read(is, magic) && magic == kTrainerStateMagic &&
                        wire::Read(is, version) && version == kTrainerStateVersion &&
-                       wire::Read(is, iter) && wire::Read(is, frontier) &&
                        wire::Read(is, knowledge_stage) &&
                        wire::Read(is, bootstrap_prev_avg_) &&
                        wire::Read(is, bootstrap_window_sum_) &&
                        wire::Read(is, bootstrap_window_count_) &&
                        wire::Read(is, result_.bootstrap_end_iter),
-                   m->dir + ": malformed trainer.state");
-  EGERIA_CHECK(iter == m->iter);
-  EGERIA_CHECK(frontier >= 0 && frontier < model_.NumStages());
+                   step_dir + ": malformed trainer.state");
   knowledge_stage_ = knowledge_stage != 0;
-
-  // Reapply the freeze frontier (and the frozen prefix's reduced-precision
-  // forward substitution) exactly as FreezeUpTo left it.
-  frontier_ = frontier;
-  bool sub_applied =
-      frontier_ > 0 && cfg_.egeria.frozen_prefix_precision != Precision::kFloat32;
-  for (int i = 0; i < model_.NumStages(); ++i) {
-    model_.SetStageFrozen(i, i < frontier_);
-    if (i < frontier_ && cfg_.egeria.frozen_prefix_precision != Precision::kFloat32) {
-      sub_applied = model_.SetStageForwardPrecision(i, cfg_.egeria.frozen_prefix_precision) &&
-                    sub_applied;
-    }
-  }
-  prefix_precision_ =
-      sub_applied ? cfg_.egeria.frozen_prefix_precision : Precision::kFloat32;
-  // Restored weights, same prefix => same hash as the interrupted run, so a
-  // persistent feature store's manifest matches and its entries are adopted.
-  frozen_prefix_hash_ = FrozenPrefixHash();
+  // Restored weights, same prefix => same prefix hash as the interrupted run,
+  // so a persistent feature store's manifest matches and is adopted.
+  SetFrontier(m->frontier);
+  EGERIA_CHECK_MSG(sync_->RestoreState(model_, state, *m),
+                   step_dir + ": optimizer state does not match this configuration");
+  sync_frontier_ = frontier_;
 
   if (controller_ != nullptr) {
     EGERIA_CHECK_MSG(m->HasFile("controller.state"),
-                     m->dir + ": Egeria enabled but no controller state saved");
-    std::ifstream cs(m->dir + "/controller.state", std::ios::binary);
+                     step_dir + ": Egeria enabled but no controller state saved");
+    std::ifstream cs(step_dir + "/controller.state", std::ios::binary);
     const bool restored = controller_->RestoreState(cs, [this] {
       InferenceFactory float_factory;
       return model_.CloneForInference(float_factory);
     });
-    EGERIA_CHECK_MSG(restored, m->dir + ": controller state restore failed");
+    EGERIA_CHECK_MSG(restored, step_dir + ": controller state restore failed");
   }
-  EGERIA_LOG(kInfo) << "resumed from " << m->dir << " (iter " << iter << ", frontier "
-                    << frontier_ << ")";
-  return iter;
+  EGERIA_LOG(kInfo) << "rank " << sync_->Rank() << " resumed from " << step_dir
+                    << " (iter " << m->iter << ", frontier " << frontier_
+                    << ", saved world " << m->world << ")";
+  *resumed_iter = m->iter;
+  return TransportStatus::Ok();
 }
 
 TaskMetric Trainer::Validate() {
@@ -386,253 +467,77 @@ TrainResult Trainer::Run() {
   model_.SetTraining(true);
   // Observability: tracing is env-gated (EGERIA_TRACE=1) so any binary built
   // on Trainer can be traced; the metrics registry is always on (atomic
-  // updates, no allocation past the first lookup). Every phase below is
-  // measured once via obs::ScopedPhase, which feeds the TrainResult seconds
-  // field, the registry histogram, and the trace span from the same interval
-  // — the three can never disagree (see src/obs/README.md).
+  // updates, no allocation past the first lookup). Every phase is measured
+  // once via obs::ScopedPhase, which feeds the TrainResult seconds field, the
+  // registry histogram, and the trace span from the same interval — the
+  // three can never disagree (see src/obs/README.md).
   trace::InitFromEnv();
   trace::SetThreadName("trainer");
   obs::InstallDumpSignalHandler();
-  obs::Histogram& data_hist = obs::GetHistogram("trainer.data_s");
-  obs::Histogram& fp_hist = obs::GetHistogram("trainer.fp_s");
-  obs::Histogram& bp_hist = obs::GetHistogram("trainer.bp_s");
-  obs::Histogram& opt_hist = obs::GetHistogram("trainer.opt_s");
-  obs::Histogram& cache_hist = obs::GetHistogram("trainer.cache_s");
-  obs::Histogram& frozen_fp_hist = obs::GetHistogram("trainer.frozen_fp_s");
-  obs::Counter& fp_skip_counter = obs::GetCounter("cache.fp_skips");
-  obs::Counter& decline_counter = obs::GetCounter("cache.declined_iters");
-  obs::Counter& iter_counter = obs::GetCounter("trainer.iterations");
-  double cum_train_seconds = 0.0;
-  int64_t iter = 0;
   // Without Egeria there is no bootstrap gate to pass.
   knowledge_stage_ = false;
 
-  int start_epoch = 0;
-  int64_t start_batch = 0;
-  if (!cfg_.checkpoint.dir.empty() && cfg_.checkpoint.resume) {
-    const int64_t resumed = TryResume();
-    if (resumed >= 0) {
-      iter = resumed;
-      start_epoch = static_cast<int>(iter / IterationsPerEpoch());
-      start_batch = iter % IterationsPerEpoch();
-      result_.resumed_from_iter = resumed;
-    }
+  int64_t iter = 0;
+  TransportStatus st;
+  if (!cfg_.ckpt.dir.empty() && cfg_.ckpt.resume) {
+    st = TryResume(&result_.resumed_from_iter);
+    iter = std::max<int64_t>(result_.resumed_from_iter, 0);
   }
-  bool stop = false;
+  if (st.ok() && result_.resumed_from_iter < 0) {
+    st = sync_->Repartition(model_, frontier_, frontier_, iter);  // Initial layout.
+  }
+  const int start_epoch = static_cast<int>(iter / IterationsPerEpoch());
+  const int64_t start_step = iter % IterationsPerEpoch();
 
-  for (int epoch = start_epoch; epoch < cfg_.epochs && !stop; ++epoch) {
-    loader_.StartEpoch(epoch);
-    // Cacheability: the store may only serve an epoch whose sample stream is
-    // epoch-deterministic. The dataset promises that by keeping its
-    // augmentation signature constant across epochs; probing (epoch, epoch+1)
-    // detects epoch-varying augmentation without run history, so the decision
-    // is identical on a resumed run.
-    aug_signature_ = train_data_.AugmentationSignature(epoch);
-    store_cacheable_ = aug_signature_ == train_data_.AugmentationSignature(epoch + 1);
-    double epoch_loss = 0.0;
-    int64_t epoch_batches = 0;
-    double epoch_frozen_fp_seconds = 0.0;
-    int64_t epoch_fp_skips = 0;
-    WallTimer epoch_timer;
-
-    for (int64_t b = epoch == start_epoch ? start_batch : 0; b < loader_.NumBatches();
-         ++b) {
-      ++iter;
-      const float lr = cfg_.lr_schedule->LrAt(iter);
-
-      // --- Decision intake (Egeria) ---
-      if (controller_ != nullptr) {
-        if (!cfg_.egeria.async_controller) {
-          controller_->RunPendingSync();
-        }
-        for (const FreezeDecision& d : controller_->DrainDecisions()) {
-          ApplyDecision(d);
-        }
-        if (auto d = controller_->OnLr(lr, iter)) {
-          ApplyDecision(*d);
-        }
-        if (knowledge_stage_ && controller_->WantsSnapshot()) {
-          // Float snapshot (the paper's GPU->CPU copy); the controller quantizes it.
-          InferenceFactory float_factory;
-          controller_->SubmitSnapshot(model_.CloneForInference(float_factory));
-        }
-      }
-
-      // --- Data ---
-      obs::ScopedPhase data_phase("trainer", "data", &data_hist,
-                                  &result_.data_seconds);
-      Batch batch = loader_.GetBatch(b);
-      data_phase.Stop();
-
-      // --- Forward (with optional frozen-prefix skip) ---
-      // When a frozen prefix exists and its boundary can seed ForwardFrom, the
-      // forward is split into ForwardPrefix + ForwardFrom (bitwise identical to
-      // the unsplit pass — same modules, same inputs, same order) so the time
-      // spent inside the frozen prefix is measured separately whether the
-      // feature store is on or off; the off/on difference is the
-      // frozen_forward_saved_s bench metric. The store serves only when the
-      // epoch stream is cacheable and the prefix is deterministic; otherwise it
-      // declines and the prefix is recomputed.
-      model_.SetBatch(batch);
-      Tensor logits;
-      bool skipped = false;
-      // The fp phase covers the whole forward block, including the nested
-      // cache and frozen-prefix intervals below — same semantics the bespoke
-      // fp_seconds accumulator always had; the nested spans show up inside
-      // the fp span on the trace timeline.
-      obs::ScopedPhase fp_phase("trainer", "fp", &fp_hist, &result_.fp_seconds);
-      const bool skippable_frontier =
-          frontier_ > 0 && frontier_ <= model_.MaxForwardSkipStage();
-      const bool serve = cache_ != nullptr && skippable_frontier && store_cacheable_ &&
-                         model_.PrefixForwardDeterministic(frontier_);
-      if (serve) {
-        Tensor cached;
-        {
-          obs::ScopedPhase cache_phase("cache", "lookup", &cache_hist,
-                                       &result_.cache_seconds);
-          cache_->SetKey(frontier_ - 1, prefix_precision_, CacheGeneration());
-          if (cache_->HasAll(batch.sample_ids)) {
-            cached = cache_->FetchBatch(batch.sample_ids);
-          }
-        }
-        if (cached.Defined()) {
-          trace::AddInstant("cache", "fp_skip");
-          fp_skip_counter.Add(1);
-          logits = model_.ForwardFrom(frontier_, cached);
-          skipped = true;
-          ++result_.fp_skip_count;
-          ++epoch_fp_skips;
-        } else {
-          double prefix_seconds = 0.0;
-          {
-            obs::ScopedPhase prefix_phase("trainer", "frozen_fp",
-                                          &frozen_fp_hist, &prefix_seconds);
-            Tensor boundary = model_.ForwardPrefix(frontier_ - 1, batch.input);
-            prefix_phase.Stop();
-            result_.frozen_fp_seconds += prefix_seconds;
-            epoch_frozen_fp_seconds += prefix_seconds;
-            logits = model_.ForwardFrom(frontier_, boundary);
-            obs::ScopedPhase store_phase("cache", "store", &cache_hist,
-                                         &result_.cache_seconds);
-            cache_->StoreBatch(batch.sample_ids, boundary);
-          }
-        }
-        {
-          obs::ScopedPhase prefetch_phase("cache", "prefetch_submit",
-                                          &cache_hist, &result_.cache_seconds);
-          cache_->PrefetchAsync(
-              loader_.UpcomingIndices(b + 1, cfg_.egeria.prefetch_batches));
-        }
-      } else if (skippable_frontier) {
-        if (cache_ != nullptr) {
-          trace::AddInstant("cache", "decline");
-          decline_counter.Add(1);
-          ++result_.cache_declined_iters;
-        }
-        double prefix_seconds = 0.0;
-        {
-          obs::ScopedPhase prefix_phase("trainer", "frozen_fp", &frozen_fp_hist,
-                                        &prefix_seconds);
-          Tensor boundary = model_.ForwardPrefix(frontier_ - 1, batch.input);
-          prefix_phase.Stop();
-          result_.frozen_fp_seconds += prefix_seconds;
-          epoch_frozen_fp_seconds += prefix_seconds;
-          logits = model_.ForwardFrom(frontier_, boundary);
-        }
-      } else {
-        logits = model_.ForwardFrom(0, batch.input);
-      }
-      fp_phase.Stop();
-
-      // --- Loss ---
-      LossResult loss = TaskLoss(cfg_.task, logits, batch);
-      epoch_loss += loss.loss;
-      ++epoch_batches;
-
-      // --- Plasticity evaluation submission (async, non-blocking) ---
-      // Valid on cache-skipped iterations too: ForwardFrom(frontier, cached) still
-      // computes the frontier stage, so StageOutput(frontier) is a genuine A_T.
-      (void)skipped;
-      MaybeSubmitEval(batch, lr, iter);
-
-      // --- Backward + update (active stages only) ---
-      {
-        obs::ScopedPhase bp_phase("trainer", "bp", &bp_hist, &result_.bp_seconds);
-        for (Parameter* p : model_.ParamsFrom(frontier_)) {
-          p->grad.Zero_();
-        }
-        model_.BackwardTo(frontier_, loss.grad);
-      }
-
-      {
-        obs::ScopedPhase opt_phase("trainer", "opt", &opt_hist,
-                                   &result_.opt_seconds);
-        optimizer_->Step(model_.ParamsFrom(frontier_), lr);
-      }
-
-      // --- Bootstrapping monitor ---
-      if (controller_ != nullptr && !knowledge_stage_) {
-        UpdateBootstrap(loss.loss, iter);
-      }
-
-      // --- Baseline hooks ---
-      if (hook_ != nullptr) {
-        hook_->OnIteration(*this, batch, iter);
-      }
-      ++result_.iterations;
-      iter_counter.Add(1);
-      obs::MaybeDumpOnSignal("trainer");
-
-      // --- Checkpoint + crash-drill stop (end of iteration: weights, optimizer
-      // state, and the controller's decision state are all consistent here) ---
-      const bool at_interval =
-          cfg_.checkpoint.enabled() && iter % cfg_.checkpoint.interval_iters == 0;
-      if (at_interval) {
-        SaveTrainingCheckpoint(iter);
-      }
-      if (cfg_.stop_after_iters >= 0 && iter >= cfg_.stop_after_iters) {
-        if (cfg_.checkpoint.enabled() && !at_interval) {
-          SaveTrainingCheckpoint(iter);
-        }
-        result_.stopped_early = true;
-        stop = true;
-        break;
-      }
-    }
-    if (stop) {
-      break;  // Partial epoch: no epoch stats, no validation.
-    }
-
-    const double epoch_seconds = epoch_timer.ElapsedSeconds();
-    cum_train_seconds += epoch_seconds;
-
+  for (int epoch = start_epoch; st.ok() && epoch < cfg_.epochs; ++epoch) {
     EpochStats es;
     es.epoch = epoch;
-    es.train_loss = epoch_loss / static_cast<double>(std::max<int64_t>(1, epoch_batches));
-    es.val = Validate();
-    es.train_seconds = epoch_seconds;
-    es.cum_train_seconds = cum_train_seconds;
+    {
+      // The epoch clock: its spans add up to total_train_seconds exactly.
+      obs::ScopedPhase train_phase("trainer", "train", nullptr, &es.train_seconds);
+      st = TrainEpoch(epoch, epoch == start_epoch ? start_step : 0, &es, &iter);
+    }
+    result_.total_train_seconds += es.train_seconds;
+    if (!st.ok() || result_.stopped_early) {
+      break;  // Partial epoch: no epoch stats, no validation.
+    }
+    es.cum_train_seconds = result_.total_train_seconds;
     es.frontier = frontier_;
     es.lr = cfg_.lr_schedule->LrAt(iter);
-    es.frozen_fp_seconds = epoch_frozen_fp_seconds;
-    es.fp_skips = epoch_fp_skips;
+    if (sync_->Rank() == 0) {
+      EGERIA_TRACE_SCOPE("trainer", "validate");
+      es.val = Validate();
+      if (!result_.reached_target && es.val.score >= cfg_.target_score) {
+        result_.reached_target = true;
+        result_.tta_seconds = es.cum_train_seconds;
+      }
+      if (result_.epochs.empty() || es.val.score > result_.best_metric.score) {
+        result_.best_metric = es.val;
+      }
+    }
+    // The other ranks wait off the clock while rank 0 validates.
+    st = sync_->Barrier();
     result_.epochs.push_back(es);
-
     if (cfg_.verbose) {
       EGERIA_LOG(kInfo) << "epoch " << epoch << " loss=" << es.train_loss << " val("
                         << es.val.unit << ")=" << es.val.display
-                        << " frontier=" << frontier_ << " t=" << cum_train_seconds << "s";
-    }
-    if (!result_.reached_target && es.val.score >= cfg_.target_score) {
-      result_.reached_target = true;
-      result_.tta_seconds = cum_train_seconds;
-    }
-    if (result_.epochs.size() == 1 || es.val.score > result_.best_metric.score) {
-      result_.best_metric = es.val;
+                        << " frontier=" << frontier_ << " t=" << es.cum_train_seconds
+                        << "s";
     }
   }
+  // Natural run end with a capture still in flight: flush it.
+  if (st.ok() && ckpt_pending_) {
+    st = CommitCheckpoint();
+  }
+  if (!st.ok()) {
+    // The typed error code lands as an instant on this rank's trace track, so
+    // a merged timeline shows WHERE in the phase structure the world came apart.
+    trace::AddInstantF("transport", "error", "{\"code\":\"%s\"}", st.code_name());
+    obs::GetCounter("transport.errors").Add(1);
+    result_.status = std::move(st);
+    return result_;
+  }
 
-  result_.total_train_seconds = cum_train_seconds;
   result_.final_metric = result_.epochs.empty() ? TaskMetric{} : result_.epochs.back().val;
   result_.final_frontier = frontier_;
   if (controller_ != nullptr) {
@@ -644,5 +549,205 @@ TrainResult Trainer::Run() {
   }
   return result_;
 }
+
+TransportStatus Trainer::TrainEpoch(int epoch, int64_t first_step, EpochStats* es,
+                                    int64_t* iter_io) {
+  static obs::Histogram& data_hist = obs::GetHistogram("trainer.data_s");
+  static obs::Histogram& fp_hist = obs::GetHistogram("trainer.fp_s");
+  static obs::Histogram& bp_hist = obs::GetHistogram("trainer.bp_s");
+  static obs::Histogram& cache_hist = obs::GetHistogram("trainer.cache_s");
+  static obs::Histogram& frozen_fp_hist = obs::GetHistogram("trainer.frozen_fp_s");
+  static obs::Counter& fp_skip_counter = obs::GetCounter("cache.fp_skips");
+  static obs::Counter& decline_counter = obs::GetCounter("cache.declined_iters");
+  static obs::Counter& iter_counter = obs::GetCounter("trainer.iterations");
+  const int rank = sync_->Rank();
+  const int world = sync_->World();
+  int64_t& iter = *iter_io;
+
+  loader_.StartEpoch(epoch);
+  // Cacheability: the store may only serve an epoch whose sample stream is
+  // epoch-deterministic. The dataset promises that by keeping its
+  // augmentation signature constant across epochs; probing (epoch, epoch+1)
+  // detects epoch-varying augmentation without run history, so the decision
+  // is identical on a resumed run.
+  aug_signature_ = train_data_.AugmentationSignature(epoch);
+  store_cacheable_ = aug_signature_ == train_data_.AugmentationSignature(epoch + 1);
+  double epoch_loss = 0.0;
+  int64_t epoch_batches = 0;
+
+  for (int64_t step = first_step; step < IterationsPerEpoch(); ++step) {
+    ++iter;
+    if (iteration_hook_) {
+      iteration_hook_(iter);
+    }
+    // Commit the step captured at the previous boundary: its background write
+    // overlapped everything since. A crash before this point left the step
+    // manifest-less — invisible to resume.
+    if (ckpt_pending_) {
+      EGERIA_RETURN_IF_ERROR(CommitCheckpoint());
+    }
+    const float lr = cfg_.lr_schedule->LrAt(iter);
+
+    // --- Decision intake (Egeria, rank 0) ---
+    if (controller_ != nullptr) {
+      if (!cfg_.egeria.async_controller) {
+        controller_->RunPendingSync();
+      }
+      for (const FreezeDecision& d : controller_->DrainDecisions()) {
+        ApplyDecision(d);
+      }
+      if (auto d = controller_->OnLr(lr, iter)) {
+        ApplyDecision(*d);
+      }
+      if (knowledge_stage_ && controller_->WantsSnapshot()) {
+        // Float snapshot (the paper's GPU->CPU copy); the controller quantizes it.
+        InferenceFactory float_factory;
+        controller_->SubmitSnapshot(model_.CloneForInference(float_factory));
+      }
+    }
+    // --- Frontier exchange: every rank applies rank 0's frontier before the
+    // forward, then the sync drops the newly frozen stages from its layout ---
+    int64_t frontier = frontier_;
+    EGERIA_RETURN_IF_ERROR(sync_->Broadcast(&frontier));
+    MoveFrontier(static_cast<int>(frontier), iter);
+    EGERIA_RETURN_IF_ERROR(SyncFrontier(iter));
+
+    // --- Data: this rank's shard of the epoch (batches rank, rank + world, ...) ---
+    obs::ScopedPhase data_phase("trainer", "data", &data_hist, &result_.data_seconds);
+    Batch batch = loader_.GetBatch(step * world + rank);
+    data_phase.Stop();
+
+    // --- Forward (with optional frozen-prefix skip) ---
+    // When a frozen prefix exists and its boundary can seed ForwardFrom, the
+    // forward is split into ForwardPrefix + ForwardFrom (bitwise identical to
+    // the unsplit pass — same modules, same inputs, same order) so the time
+    // spent inside the frozen prefix is measured separately whether the
+    // feature store is on or off. The store serves only when the epoch stream
+    // is cacheable and the prefix is deterministic; otherwise it declines and
+    // the prefix is recomputed.
+    model_.SetBatch(batch);
+    Tensor logits;
+    // The fp phase covers the whole forward block; the nested cache and
+    // frozen-prefix spans show up inside it on the trace timeline.
+    obs::ScopedPhase fp_phase("trainer", "fp", &fp_hist, &result_.fp_seconds);
+    const bool skippable_frontier =
+        frontier_ > 0 && frontier_ <= model_.MaxForwardSkipStage();
+    const bool serve = cache_ != nullptr && skippable_frontier && store_cacheable_ &&
+                       model_.PrefixForwardDeterministic(frontier_);
+    if (serve) {
+      Tensor cached;
+      {
+        obs::ScopedPhase cache_phase("cache", "lookup", &cache_hist,
+                                     &result_.cache_seconds);
+        cache_->SetKey(frontier_ - 1, prefix_precision_, CacheGeneration());
+        if (cache_->HasAll(batch.sample_ids)) {
+          cached = cache_->FetchBatch(batch.sample_ids);
+        }
+      }
+      if (cached.Defined()) {
+        trace::AddInstant("cache", "fp_skip");
+        fp_skip_counter.Add(1);
+        logits = model_.ForwardFrom(frontier_, cached);
+        ++result_.fp_skip_count;
+        ++es->fp_skips;
+      } else {
+        double prefix_seconds = 0.0;
+        obs::ScopedPhase prefix_phase("trainer", "frozen_fp", &frozen_fp_hist,
+                                      &prefix_seconds);
+        Tensor boundary = model_.ForwardPrefix(frontier_ - 1, batch.input);
+        prefix_phase.Stop();
+        result_.frozen_fp_seconds += prefix_seconds;
+        es->frozen_fp_seconds += prefix_seconds;
+        logits = model_.ForwardFrom(frontier_, boundary);
+        obs::ScopedPhase store_phase("cache", "store", &cache_hist, &result_.cache_seconds);
+        cache_->StoreBatch(batch.sample_ids, boundary);
+      }
+      {
+        obs::ScopedPhase prefetch_phase("cache", "prefetch_submit", &cache_hist,
+                                        &result_.cache_seconds);
+        const int64_t ahead =
+            std::min(cfg_.egeria.prefetch_batches, IterationsPerEpoch() - step - 1);
+        cache_->PrefetchAsync(
+            loader_.UpcomingIndices((step + 1) * world + rank, ahead, world));
+      }
+    } else if (skippable_frontier) {
+      if (cache_ != nullptr) {
+        trace::AddInstant("cache", "decline");
+        decline_counter.Add(1);
+        ++result_.cache_declined_iters;
+      }
+      double prefix_seconds = 0.0;
+      obs::ScopedPhase prefix_phase("trainer", "frozen_fp", &frozen_fp_hist,
+                                    &prefix_seconds);
+      Tensor boundary = model_.ForwardPrefix(frontier_ - 1, batch.input);
+      prefix_phase.Stop();
+      result_.frozen_fp_seconds += prefix_seconds;
+      es->frozen_fp_seconds += prefix_seconds;
+      logits = model_.ForwardFrom(frontier_, boundary);
+    } else {
+      logits = model_.ForwardFrom(0, batch.input);
+    }
+    fp_phase.Stop();
+
+    // --- Loss ---
+    LossResult loss = TaskLoss(cfg_.task, logits, batch);
+    epoch_loss += loss.loss;
+    ++epoch_batches;
+
+    // --- Plasticity evaluation submission (async, non-blocking) ---
+    // Valid on cache-skipped iterations too: ForwardFrom(frontier, cached) still
+    // computes the frontier stage, so StageOutput(frontier) is a genuine A_T.
+    MaybeSubmitEval(batch, lr, iter);
+
+    // --- Backward, then synchronization + update of the active stages only:
+    // frozen stages are "excluded from parameter synchronization" (S4.2.2) ---
+    const std::vector<Parameter*> active = model_.ParamsFrom(frontier_);
+    {
+      obs::ScopedPhase bp_phase("trainer", "bp", &bp_hist, &result_.bp_seconds);
+      for (Parameter* p : active) {
+        p->grad.Zero_();
+      }
+      model_.BackwardTo(frontier_, loss.grad);
+    }
+    EGERIA_RETURN_IF_ERROR(sync_->Step(active, lr, &result_.opt_seconds));
+
+    // --- Bootstrapping monitor (rank 0's loss) ---
+    if (controller_ != nullptr && !knowledge_stage_) {
+      UpdateBootstrap(loss.loss, iter);
+    }
+
+    // --- Baseline hooks ---
+    if (hook_ != nullptr) {
+      hook_->OnIteration(*this, batch, iter);
+      EGERIA_RETURN_IF_ERROR(SyncFrontier(iter + 1));
+    }
+    ++result_.iterations;
+    iter_counter.Add(1);
+    obs::MaybeDumpOnSignal("trainer");
+
+    // --- Checkpoint + crash-drill stop (end of iteration: weights, optimizer
+    // state, and the controller's decision state are all consistent here;
+    // every rank shares the config, so the cadence is in lockstep) ---
+    const bool at_interval =
+        cfg_.ckpt.enabled() && iter % cfg_.ckpt.interval_iters == 0;
+    const bool stopping = cfg_.stop_after_iters >= 0 && iter >= cfg_.stop_after_iters;
+    if (at_interval || (stopping && cfg_.ckpt.enabled())) {
+      CaptureCheckpoint(iter);
+    }
+    // An async save commits at the NEXT boundary; a stop (or async off)
+    // commits inline — nobody is around next iteration to commit for us.
+    if (ckpt_pending_ && (stopping || ckpt_writer_ == nullptr)) {
+      EGERIA_RETURN_IF_ERROR(CommitCheckpoint());
+    }
+    if (stopping) {
+      result_.stopped_early = true;
+      break;
+    }
+  }
+  es->train_loss = epoch_loss / static_cast<double>(std::max<int64_t>(1, epoch_batches));
+  return TransportStatus::Ok();
+}
+
+#undef EGERIA_RETURN_IF_ERROR
 
 }  // namespace egeria

@@ -59,12 +59,13 @@ Batch DataLoader::GetBatch(int64_t batch_idx) const {
   return batch;
 }
 
-std::vector<int64_t> DataLoader::UpcomingIndices(int64_t next_batch, int64_t count) const {
+std::vector<int64_t> DataLoader::UpcomingIndices(int64_t next_batch, int64_t count,
+                                                 int64_t stride) const {
   static obs::Counter& lookaheads = obs::GetCounter("data.lookahead_calls");
   lookaheads.Add(1);
   std::vector<int64_t> out;
-  const int64_t last = std::min(NumBatches(), next_batch + count);
-  for (int64_t b = std::max<int64_t>(0, next_batch); b < last; ++b) {
+  const int64_t last = std::min(NumBatches(), next_batch + count * stride);
+  for (int64_t b = std::max<int64_t>(0, next_batch); b < last; b += stride) {
     const auto idx = BatchIndices(b);
     out.insert(out.end(), idx.begin(), idx.end());
   }

@@ -37,9 +37,11 @@ class DataLoader {
   std::vector<int64_t> BatchIndices(int64_t batch_idx) const;
   Batch GetBatch(int64_t batch_idx) const;
 
-  // Sample ids of up to `count` upcoming batches starting at `next_batch` — the
-  // prefetcher's window into the future.
-  std::vector<int64_t> UpcomingIndices(int64_t next_batch, int64_t count) const;
+  // Sample ids of up to `count` upcoming batches next_batch, next_batch +
+  // stride, ... — the prefetcher's window into the future. A data-parallel
+  // rank consumes every world-th batch, so it looks ahead with stride = world.
+  std::vector<int64_t> UpcomingIndices(int64_t next_batch, int64_t count,
+                                       int64_t stride = 1) const;
 
  private:
   const Dataset& dataset_;

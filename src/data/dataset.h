@@ -1,6 +1,6 @@
 // Dataset interface. All datasets here are procedurally generated substitutes for the
-// paper's corpora (ImageNet/CIFAR-10/VOC/WMT16/SQuAD are not available offline; see
-// DESIGN.md S1). Determinism contract: GetBatch(indices) depends only on (seed,
+// paper's corpora (ImageNet/CIFAR-10/VOC/WMT16/SQuAD are not available
+// offline). Determinism contract: GetBatch(indices) depends only on (seed,
 // indices) — including augmentation — so a sample is bit-identical across epochs.
 // That is the property the activation cache relies on (paper S4.3: stateless random
 // augmentation keeps inputs repeatable).

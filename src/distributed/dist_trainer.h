@@ -1,65 +1,60 @@
-// Data-parallel training harness (the paper's Fig. 5 controller-worker layout
-// at process scale): K workers hold model replicas, train on disjoint shards
-// of each batch permutation, and synchronize gradients with a real all-reduce.
-// Rank 0 co-locates the Egeria controller; freeze/unfreeze decisions travel as
-// control-plane broadcast messages and are applied at iteration boundaries, and
-// frozen stages drop out of the synchronization payload (the Fig. 10 traffic
-// saving).
+// Data-parallel training (the paper's Fig. 5 controller-worker layout at
+// process scale): K workers hold model replicas, train on disjoint shards of
+// each batch permutation, and synchronize gradients with a real all-reduce.
 //
-// The per-rank loop (TrainRank) runs over a byte-oriented Transport, so the
-// same code serves two deployments:
+// There is one training loop, Trainer::Run. A rank is a Trainer plus a
+// GradientSync over the rank's Transport (src/core/gradient_sync.h): rank 0
+// holds the Egeria controller, its frontier is exchanged at the top of every
+// iteration, and frozen stages drop out of both backward and the
+// synchronization payload (the Fig. 10 traffic saving). TrainRank is the
+// adapter that wires one rank, so the same code serves two deployments:
 //   - TrainDataParallel: the in-process harness — ranks are threads over an
 //     InprocTransportGroup (or, for validation, TCP sockets between threads).
 //   - tools/egeria_worker.cc: one rank per OS process over MakeTcpTransport,
 //     launched by SpawnWorld / scripts/launch_dist.sh.
 //
-// Default synchronization is a ring reduce-scatter/all-gather with ZeRO-1
-// optimizer-state sharding: each rank owns one contract chunk of the flattened
-// active-parameter space, applies the optimizer update for its shard, and the
-// all-gather circulates updated parameters. The round runs once per iteration,
-// after backward, on the rank's training thread, and both collectives are
-// timed as the rank's comm_wait phase (the signal the heartbeat straggler
-// detector reads). The freeze frontier re-partitions shards, so frozen
-// parameters leave both the ring payload and per-rank optimizer memory. The
-// rank-0 star reduce survives as the sequential reference implementation that
-// tests compare against bitwise (in-process only: it reads peers' gradients
-// through shared memory).
+// The two world syncs implement the same reduction contract and the same
+// compiled SGD arithmetic, so they train bitwise-identical weights — through
+// freezes and unfreezes alike (both drop a stage's momentum when it freezes):
+//   - RingSync (default): ZeRO-1. Ring reduce-scatter, the owner's step on its
+//     contract chunk of the flattened active space, ring all-gather; both
+//     collectives are timed as the rank's comm_wait phase (the heartbeat
+//     straggler detector's signal). A frontier move re-partitions the shards,
+//     so frozen parameters leave the ring payload and per-rank optimizer memory.
+//   - StarSync: the sequential reference — rank 0 folds every rank's gradients
+//     (GradientAllReducer), then every rank steps a replicated optimizer.
+//     In-process only: it reads peers' gradients through shared memory.
 #ifndef EGERIA_SRC_DISTRIBUTED_DIST_TRAINER_H_
 #define EGERIA_SRC_DISTRIBUTED_DIST_TRAINER_H_
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "src/ckpt/checkpoint.h"
-#include "src/core/config.h"
-#include "src/core/task.h"
-#include "src/data/dataloader.h"
+#include "src/core/gradient_sync.h"
+#include "src/core/trainer.h"
+#include "src/distributed/allreduce.h"
 #include "src/distributed/transport/transport.h"
-#include "src/models/chain_model.h"
-#include "src/optim/lr_scheduler.h"
+#include "src/optim/sharded_optimizer.h"
 
 namespace egeria {
 
-class GradientAllReducer;
+// One rank's training configuration: TrainConfig plus the world's wiring.
+// Every rank of a world must share it.
+struct DistTrainConfig : TrainConfig {
+  DistTrainConfig() {
+    epochs = 4;
+    batch_size = 8;  // per worker
+    val_batches = 4;
+  }
 
-struct DistTrainConfig {
   int world = 2;
-  int epochs = 4;
-  int64_t batch_size = 8;  // per worker
-  TaskSpec task;
-  float momentum = 0.9F;
-  float weight_decay = 1e-4F;
-  std::shared_ptr<LrScheduler> lr_schedule;
-  uint64_t seed = 42;
-  int64_t val_batches = 4;
 
-  // Gradient synchronization + optimizer layout. Both implement the same
-  // reduction contract, so they produce bitwise-identical trained weights (on
-  // monotone-freezing runs; see sharded_optimizer.h for the unfreeze caveat).
+  // Gradient synchronization + optimizer layout (see the file comment).
   enum class Reducer {
-    kRingSharded,           // ring reduce-scatter/all-gather + ZeRO-1 shards
-    kSequentialReference,   // rank-0 star reduce + fully replicated optimizer
+    kRingSharded,           // RingSync: ring + ZeRO-1 shards
+    kSequentialReference,   // StarSync: rank-0 star reduce + replicated SGD
   };
   Reducer reducer = Reducer::kRingSharded;
 
@@ -74,33 +69,14 @@ struct DistTrainConfig {
   // all-gather). Kept only because existing callers still assign it.
   bool overlap_comm = true;
 
-  bool enable_egeria = false;
-  EgeriaConfig egeria;
-
-  // Fault tolerance: when ckpt.enabled(), every rank persists its ZeRO-1
-  // momentum shard each interval, rank 0 commits the manifest (model state,
-  // controller state, loop cursors) after a barrier, and a world started
-  // against a directory holding a complete checkpoint resumes from it. The
-  // saved world size need not match the resuming one: shards are re-folded
-  // through the reduction-contract partition (elastic restart). Bitwise-resume
-  // contract: resuming at the SAME world size reproduces the uninterrupted
-  // run's final weights bit-for-bit; an elastic resume is bitwise-equal to any
-  // other resume of the same checkpoint at the new world size (in-process or
-  // multi-process).
-  CheckpointOptions ckpt;
-
-  // Stop every rank cleanly after this many iterations (a final checkpoint is
-  // written when checkpointing is enabled); <0 runs to completion. All ranks
-  // share the config, so the world stops in lockstep.
-  int64_t stop_after_iters = -1;
-
   // Unused: nothing reads this field. The TCP transport frames and checksums
   // every message itself, and in-process worlds carry no framing. Kept only
   // because existing callers still assign it.
   bool frame_integrity = true;
 
-  // Test hook: invoked at the top of every iteration on every rank (fault
-  // injection for the multi-process launcher tests). Null = no-op.
+  // Test hook: invoked at the top of every iteration (numbered from 1) on
+  // every rank, before a pending checkpoint commit (fault injection for the
+  // multi-process launcher tests). Null = no-op.
   std::function<void(int rank, int64_t iter)> iteration_hook;
 };
 
@@ -109,7 +85,7 @@ struct DistTrainConfig {
 // argument: the ring payload, per-rank optimizer state, AND measured all-reduce
 // seconds all shrink as stages freeze.
 struct DistReshardEvent {
-  int64_t iter = 0;
+  int64_t iter = 0;  // first iteration stepped under this partition (0 = start)
   int frontier = 0;
   int64_t active_elems = 0;             // flattened active-parameter elements
   int64_t payload_bytes_per_iter = 0;   // ring payload at this frontier
@@ -119,13 +95,14 @@ struct DistReshardEvent {
   double allreduce_seconds_per_iter = 0.0;
 };
 
-// What one rank's training loop produces. rank 0 additionally validates and
-// carries the reshard timeline.
+// What one rank's training produces (its Trainer's TrainResult, flattened for
+// the worker's result line). rank 0 additionally validates and carries the
+// reshard timeline.
 struct RankTrainResult {
   int rank = 0;
   uint64_t params_hash = 0;        // FNV-1a over this rank's final weights
   int final_frontier = 0;
-  int64_t iterations = 0;
+  int64_t iterations = 0;          // last iteration run (counting resumed ones)
   int64_t bytes_synced = 0;        // logical payload (sum of active grad bytes)
   int64_t bytes_full_model = 0;    // payload if nothing were frozen
   int64_t wire_bytes = 0;          // bytes this rank pushed onto its ring link
@@ -140,7 +117,7 @@ struct RankTrainResult {
   double fp_seconds = 0.0;
   double bp_seconds = 0.0;
   double opt_seconds = 0.0;
-  double train_seconds = 0.0;      // whole-loop wall time (epoch loop only)
+  double train_seconds = 0.0;      // the epoch clocks (excludes validation)
   int64_t resumed_from_iter = -1;  // checkpoint iteration resumed from, -1 = fresh
   bool stopped_early = false;      // stop_after_iters ended the run
   // Why the loop ended: ok() for a clean run; otherwise the first transport
@@ -172,12 +149,67 @@ struct DistTrainResult {
   std::vector<DistReshardEvent> reshard_events;  // ring-sharded path only
 };
 
-// One rank's full training loop over `transport`. Collective: every rank of
-// the world must call this concurrently with an identical config and a
-// deterministic `make_model` (same architecture AND same seed per call; rank
-// 0's initial weights are additionally broadcast so replicas start
-// bit-identical even if seeding diverges). `reference_reducer` must be non-null
-// iff cfg.reducer == kSequentialReference (in-process threads only).
+// The ZeRO-1 ring sync: one rank's shard of the momentum-SGD state over the
+// contract partition of the active suffix.
+class RingSync : public GradientSync {
+ public:
+  RingSync(Transport& transport, float momentum, float weight_decay);
+
+  TransportStatus Repartition(ChainModel& model, int old_frontier, int new_frontier,
+                              int64_t first_iter) override;
+  TransportStatus Step(const std::vector<Parameter*>& active, float lr,
+                       double* opt_seconds) override;
+  int64_t StateBytes() const override { return shard_opt_.StateBytes(); }
+  std::function<bool(const std::string& step_dir)> CaptureState(
+      ChainModel& model, Checkpoint* model_state) override;
+  std::string RankStateFile(int rank) const override;
+  // Re-folds the saved shards through the contract partition at THIS world
+  // size (the saved world may differ: elastic restart).
+  bool RestoreState(ChainModel& model, const Checkpoint& model_state,
+                    const CkptManifest& m) override;
+
+  int64_t BytesSynced() const { return bytes_synced_; }
+  int64_t WireBytes() const { return ring_.TotalWireBytes(); }
+  double CommSeconds() const { return ring_.CommSeconds(); }
+  // Rank 0's partition timeline, its last segment closed after `last_iter`.
+  std::vector<DistReshardEvent> ReshardEvents(int64_t last_iter);
+
+ private:
+  // Rank 0: opens a timeline segment at `iter`, closing the previous one.
+  void RecordPartition(int64_t iter, int frontier, int64_t active_elems);
+
+  RingAllReducer ring_;
+  ShardedSgd shard_opt_;
+  int64_t shard_begin_ = 0;
+  int64_t shard_end_ = 0;
+  int64_t bytes_synced_ = 0;
+  std::vector<DistReshardEvent> events_;
+  double segment_comm_start_ = 0.0;  // CommSeconds() when the segment opened
+};
+
+// The sequential reference: GradientAllReducer's star average, then the
+// replicated optimizer on every rank. In-process ranks only.
+class StarSync : public LocalSync {
+ public:
+  StarSync(Transport& transport, GradientAllReducer& reducer,
+           std::unique_ptr<Optimizer> optimizer);
+
+  TransportStatus Step(const std::vector<Parameter*>& active, float lr,
+                       double* opt_seconds) override;
+
+  int64_t BytesSynced() const { return bytes_synced_; }
+
+ private:
+  GradientAllReducer& reducer_;
+  int64_t bytes_synced_ = 0;
+};
+
+// One rank's training over `transport`: broadcasts rank 0's initial weights,
+// builds the configured GradientSync, and runs a Trainer. Collective: every
+// rank of the world must call this concurrently with an identical config and
+// a deterministic `make_model` (same architecture AND same seed per call).
+// `reference_reducer` must be non-null iff cfg.reducer == kSequentialReference
+// (in-process threads only).
 RankTrainResult TrainRank(
     Transport& transport,
     const std::function<std::unique_ptr<ChainModel>()>& make_model,

@@ -64,12 +64,13 @@ constexpr uint8_t kHbAbort = 3;
 constexpr uint8_t kHbStats = 4;
 constexpr size_t kHbRecordBytes = 13;
 
-// Phase ids for kHbStats, matching the trainer's dist.*_s histograms.
+// Phase ids for kHbStats, matching the trainer's trainer.*_s histograms.
 constexpr int kNumHbStatPhases = 5;
 constexpr const char* kHbStatPhaseName[kNumHbStatPhases] = {
     "data", "fp", "bp", "opt", "comm_wait"};
 constexpr const char* kHbStatPhaseMetric[kNumHbStatPhases] = {
-    "dist.data_s", "dist.fp_s", "dist.bp_s", "dist.opt_s", "dist.comm_wait_s"};
+    "trainer.data_s", "trainer.fp_s", "trainer.bp_s", "trainer.opt_s",
+    "trainer.comm_wait_s"};
 
 // Straggler detection knobs. A phase only qualifies once its slowest rank
 // has accumulated kStragglerMinSeconds (tiny absolute skews are noise), the

@@ -29,7 +29,7 @@ constexpr int kIoTimeoutMs = 2000;
 constexpr size_t kMaxRequestBytes = 8192;
 
 // Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*. Registry names use
-// dots ("dist.fp_s"); map every non-conforming byte to '_' and prefix the
+// dots ("trainer.fp_s"); map every non-conforming byte to '_' and prefix the
 // exporter namespace.
 std::string PromName(const std::string& name) {
   std::string out = "egeria_";

@@ -3,10 +3,9 @@
 // The parameter list is passed per step (not captured at construction) because Egeria
 // changes the active set during training: frozen parameters are excluded from the
 // update, exactly like setting requires_grad=false in the paper's PyTorch
-// implementation (S5). State (momentum / Adam moments) is keyed by Parameter pointer
-// and survives freeze/unfreeze cycles unless the trainer explicitly releases it
-// (ReleaseState) when a stage freezes — the optimizer-state half of the memory
-// saving that sharding exploits across ranks.
+// implementation (S5). State (momentum / Adam moments) is keyed by Parameter pointer;
+// the training loop releases it (ReleaseState) when a stage freezes — the
+// optimizer-state half of the memory saving that sharding exploits across ranks.
 #ifndef EGERIA_SRC_OPTIM_OPTIMIZER_H_
 #define EGERIA_SRC_OPTIM_OPTIMIZER_H_
 

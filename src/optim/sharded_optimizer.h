@@ -18,9 +18,8 @@
 // The update arithmetic is elementwise-identical to Sgd::Step (the same
 // compiled SgdUpdateRange kernels), so a sharded run is bitwise-identical to
 // the replicated reference path as long as gradients arrive through the same
-// reduction contract. The one documented divergence: parameters re-activated
-// by an unfreeze restart with zero momentum (their state was dropped at freeze
-// time), whereas the replicated Sgd keeps stale velocity across freeze cycles.
+// reduction contract. Both drop a stage's momentum when it freezes, so
+// parameters re-activated by an unfreeze restart at zero on both.
 #ifndef EGERIA_SRC_OPTIM_SHARDED_OPTIMIZER_H_
 #define EGERIA_SRC_OPTIM_SHARDED_OPTIMIZER_H_
 

@@ -12,9 +12,7 @@ namespace egeria {
 
 namespace {
 
-constexpr uint32_t kTensorMagicV1 = 0x4E544745;      // 'EGTN' (no checksum)
 constexpr uint32_t kTensorMagicV2 = 0x32544745;      // 'EGT2'
-constexpr uint32_t kCheckpointMagicV1 = 0x4B434745;  // 'EGCK'
 constexpr uint32_t kCheckpointMagicV2 = 0x32434745;  // 'EGC2'
 constexpr uint32_t kFormatVersion = 2;
 
@@ -75,18 +73,15 @@ Tensor ReadTensor(std::istream& is, const std::string& context) {
     EGERIA_LOG(kError) << Where(context) << ": truncated before tensor magic";
     return Tensor();
   }
-  if (magic != kTensorMagicV1 && magic != kTensorMagicV2) {
+  if (magic != kTensorMagicV2) {
     EGERIA_LOG(kError) << Where(context) << ": bad tensor magic 0x" << std::hex << magic;
     return Tensor();
   }
-  const bool v2 = magic == kTensorMagicV2;
-  if (v2) {
-    uint32_t version = 0;
-    if (!ReadPod(is, version) || version < 2 || version > kFormatVersion) {
-      EGERIA_LOG(kError) << Where(context) << ": unsupported tensor format version "
-                         << version;
-      return Tensor();
-    }
+  uint32_t version = 0;
+  if (!ReadPod(is, version) || version < 2 || version > kFormatVersion) {
+    EGERIA_LOG(kError) << Where(context) << ": unsupported tensor format version "
+                       << version;
+    return Tensor();
   }
   uint32_t ndim = 0;
   if (!ReadPod(is, ndim) || ndim > kMaxNdim) {
@@ -107,7 +102,7 @@ Tensor ReadTensor(std::istream& is, const std::string& context) {
     }
   }
   uint64_t stored_checksum = 0;
-  if (v2 && !ReadPod(is, stored_checksum)) {
+  if (!ReadPod(is, stored_checksum)) {
     EGERIA_LOG(kError) << Where(context) << ": truncated before tensor checksum";
     return Tensor();
   }
@@ -120,16 +115,14 @@ Tensor ReadTensor(std::istream& is, const std::string& context) {
                          << bytes << " bytes)";
       return Tensor();
     }
-    if (v2) {
-      const uint64_t actual = Fnv1a64(t.Data(), bytes);
-      if (actual != stored_checksum) {
-        EGERIA_LOG(kError) << Where(context) << ": tensor checksum mismatch (stored 0x"
-                           << std::hex << stored_checksum << ", computed 0x" << actual
-                           << ")";
-        return Tensor();
-      }
+    const uint64_t actual = Fnv1a64(t.Data(), bytes);
+    if (actual != stored_checksum) {
+      EGERIA_LOG(kError) << Where(context) << ": tensor checksum mismatch (stored 0x"
+                         << std::hex << stored_checksum << ", computed 0x" << actual
+                         << ")";
+      return Tensor();
     }
-  } else if (v2 && stored_checksum != kFnv64Offset) {
+  } else if (stored_checksum != kFnv64Offset) {
     EGERIA_LOG(kError) << Where(context) << ": empty tensor with nonzero checksum";
     return Tensor();
   }
@@ -177,17 +170,14 @@ bool LoadCheckpoint(const std::string& path, Checkpoint& ckpt) {
     return false;
   }
   uint32_t magic = 0;
-  if (!ReadPod(is, magic) ||
-      (magic != kCheckpointMagicV1 && magic != kCheckpointMagicV2)) {
+  if (!ReadPod(is, magic) || magic != kCheckpointMagicV2) {
     EGERIA_LOG(kError) << path << ": bad checkpoint magic";
     return false;
   }
-  if (magic == kCheckpointMagicV2) {
-    uint32_t version = 0;
-    if (!ReadPod(is, version) || version < 2 || version > kFormatVersion) {
-      EGERIA_LOG(kError) << path << ": unsupported checkpoint format version " << version;
-      return false;
-    }
+  uint32_t version = 0;
+  if (!ReadPod(is, version) || version < 2 || version > kFormatVersion) {
+    EGERIA_LOG(kError) << path << ": unsupported checkpoint format version " << version;
+    return false;
   }
   uint64_t count = 0;
   if (!ReadPod(is, count)) {

@@ -12,11 +12,10 @@
 // Checkpoint (named tensor map) v2:
 //   u32 magic 'EGC2' | u32 version | u64 count | count * { u32 name_len | bytes | tensor }
 //
-// Readers also accept the legacy v1 layouts ('EGTN' / 'EGCK': no version field,
-// no checksum) so pre-existing spill files and checkpoints keep loading. All
-// read paths are hardened: bad magic, absurd ndim/dims, truncation, and
-// checksum mismatches produce a logged diagnostic and an undefined tensor /
-// false return — never garbage data.
+// All read paths are hardened: bad magic (the checksum-less v1 layouts 'EGTN'
+// and 'EGCK' included), absurd ndim/dims, truncation, and checksum mismatches
+// produce a logged diagnostic and an undefined tensor / false return — never
+// garbage data.
 #ifndef EGERIA_SRC_TENSOR_SERIALIZE_H_
 #define EGERIA_SRC_TENSOR_SERIALIZE_H_
 

@@ -14,13 +14,15 @@
 namespace egeria {
 namespace {
 
+constexpr uint64_t kGeneration = 1;
+
 std::string TempCacheDir(const char* tag) {
   return ::testing::TempDir() + "/egeria_cache_test_" + tag;
 }
 
 TEST(ActivationCache, StoreFetchRoundTrip) {
   ActivationCache cache(TempCacheDir("rt"), /*memory_entries=*/64);
-  cache.SetStage(2);
+  cache.SetKey(2, Precision::kFloat32, kGeneration);
   Rng rng(1);
   Tensor act = Tensor::Randn({4, 3, 2, 2}, rng);
   std::vector<int64_t> ids{10, 20, 30, 40};
@@ -35,7 +37,7 @@ TEST(ActivationCache, StoreFetchRoundTrip) {
 
 TEST(ActivationCache, FetchInDifferentOrderReassembles) {
   ActivationCache cache(TempCacheDir("order"), 64);
-  cache.SetStage(0);
+  cache.SetKey(0, Precision::kFloat32, kGeneration);
   Rng rng(2);
   Tensor act = Tensor::Randn({3, 2}, rng);
   cache.StoreBatch({1, 2, 3}, act);
@@ -48,7 +50,7 @@ TEST(ActivationCache, FetchInDifferentOrderReassembles) {
 
 TEST(ActivationCache, MissingIdReturnsUndefined) {
   ActivationCache cache(TempCacheDir("miss"), 64);
-  cache.SetStage(0);
+  cache.SetKey(0, Precision::kFloat32, kGeneration);
   Rng rng(3);
   cache.StoreBatch({1, 2}, Tensor::Randn({2, 4}, rng));
   EXPECT_FALSE(cache.HasAll({1, 2, 3}));
@@ -59,7 +61,7 @@ TEST(ActivationCache, MissingIdReturnsUndefined) {
 TEST(ActivationCache, MemoryEvictionFallsBackToDisk) {
   // Memory keeps only 2 slices; older entries must still be served from disk.
   ActivationCache cache(TempCacheDir("evict"), /*memory_entries=*/2);
-  cache.SetStage(1);
+  cache.SetKey(1, Precision::kFloat32, kGeneration);
   Rng rng(4);
   Tensor act = Tensor::Randn({5, 3}, rng);
   cache.StoreBatch({1, 2, 3, 4, 5}, act);
@@ -74,18 +76,19 @@ TEST(ActivationCache, MemoryEvictionFallsBackToDisk) {
 
 TEST(ActivationCache, StageChangeInvalidates) {
   ActivationCache cache(TempCacheDir("stage"), 64);
-  cache.SetStage(0);
+  cache.SetKey(0, Precision::kFloat32, kGeneration);
   Rng rng(5);
   cache.StoreBatch({7}, Tensor::Randn({1, 4}, rng));
   ASSERT_TRUE(cache.HasAll({7}));
-  cache.SetStage(1);  // Frontier advanced: old boundary is useless.
+  // Frontier advanced: the old boundary is useless.
+  cache.SetKey(1, Precision::kFloat32, kGeneration);
   EXPECT_FALSE(cache.HasAll({7}));
-  cache.SetStage(1);  // No-op.
+  cache.SetKey(1, Precision::kFloat32, kGeneration);  // No-op.
 }
 
 TEST(ActivationCache, ClearDropsEverything) {
   ActivationCache cache(TempCacheDir("clear"), 64);
-  cache.SetStage(3);
+  cache.SetKey(3, Precision::kFloat32, kGeneration);
   Rng rng(6);
   cache.StoreBatch({1, 2}, Tensor::Randn({2, 4}, rng));
   cache.Clear();
@@ -95,7 +98,7 @@ TEST(ActivationCache, ClearDropsEverything) {
 
 TEST(ActivationCache, PrefetchLoadsIntoMemory) {
   ActivationCache cache(TempCacheDir("prefetch"), /*memory_entries=*/2);
-  cache.SetStage(0);
+  cache.SetKey(0, Precision::kFloat32, kGeneration);
   Rng rng(7);
   Tensor act = Tensor::Randn({4, 8}, rng);
   cache.StoreBatch({1, 2, 3, 4}, act);  // Memory holds only {3, 4} afterwards.
@@ -112,7 +115,7 @@ TEST(ActivationCache, PrefetchLoadsIntoMemory) {
 TEST(ActivationCache, DiskBudgetStopsStores) {
   // Budget allows ~1 slice of 4 floats.
   ActivationCache cache(TempCacheDir("budget"), 64, /*max_disk_bytes=*/20);
-  cache.SetStage(0);
+  cache.SetKey(0, Precision::kFloat32, kGeneration);
   Rng rng(8);
   cache.StoreBatch({1, 2, 3}, Tensor::Randn({3, 4}, rng));
   EXPECT_FALSE(cache.HasAll({1, 2, 3}));  // Later stores were dropped.

@@ -70,24 +70,6 @@ TEST(Serialize, TensorRoundTripV2PreservesBits) {
                            static_cast<size_t>(t.NumEl()) * sizeof(float)));
 }
 
-TEST(Serialize, ReadsLegacyV1TensorFormat) {
-  // Hand-build a v1 blob: 'EGTN' | ndim | dims | raw f32 (no version, no checksum).
-  Rng rng(2);
-  Tensor t = Tensor::Randn({2, 3}, rng);
-  std::stringstream ss;
-  const uint32_t magic = 0x4E544745;
-  const uint32_t ndim = 2;
-  ss.write(reinterpret_cast<const char*>(&magic), 4);
-  ss.write(reinterpret_cast<const char*>(&ndim), 4);
-  for (int64_t d : t.Shape()) {
-    ss.write(reinterpret_cast<const char*>(&d), 8);
-  }
-  ss.write(reinterpret_cast<const char*>(t.Data()), t.NumEl() * sizeof(float));
-  Tensor back = ReadTensor(ss);
-  ASSERT_TRUE(back.Defined());
-  EXPECT_EQ(HashTensor(back), HashTensor(t));
-}
-
 TEST(Serialize, RejectsCorruptTensors) {
   Rng rng(3);
   Tensor t = Tensor::Randn({4, 4}, rng);
@@ -334,7 +316,7 @@ TEST(StateDict, LoadRejectsMismatchedArchitecture) {
 TEST(ActivationCacheHygiene, CorruptSpillBecomesMissNotGarbage) {
   TempDir dir("spill");
   ActivationCache cache(dir.path + "/c", /*memory_entries=*/1);
-  cache.SetStage(0);
+  cache.SetKey(0, Precision::kFloat32, /*generation=*/1);
   Rng rng(6);
   Tensor acts = Tensor::Randn({3, 4}, rng);
   cache.StoreBatch({10, 11, 12}, acts);
@@ -343,7 +325,7 @@ TEST(ActivationCacheHygiene, CorruptSpillBecomesMissNotGarbage) {
   // Corrupt sample 11's spill on disk (memory only holds the latest entry, so
   // fetching must hit the disk path for it). Truncation models a spill torn
   // by a crash mid-write. Filename follows the composite-key spill schema
-  // v<format>_s<stage>_p<precision>_<id>.egt (legacy SetStage => fp32, gen 0).
+  // v<format>_s<stage>_p<precision>_<id>.egt.
   const std::string victim = dir.path + "/c/v1_s0_p0_11.egt";
   ASSERT_TRUE(fs::exists(victim));
   std::error_code ec;
@@ -354,12 +336,12 @@ TEST(ActivationCacheHygiene, CorruptSpillBecomesMissNotGarbage) {
   EXPECT_GT(cache.Stats().misses, 0);
 }
 
-TEST(ActivationCacheHygiene, SetStageSweepsStaleSpillFiles) {
+TEST(ActivationCacheHygiene, KeyChangeSweepsStaleSpillFiles) {
   TempDir dir("sweep");
   const std::string cdir = dir.path + "/c";
   {
     ActivationCache cache(cdir, /*memory_entries=*/8);
-    cache.SetStage(0);
+    cache.SetKey(0, Precision::kFloat32, /*generation=*/1);
     Rng rng(7);
     cache.StoreBatch({1, 2}, Tensor::Randn({2, 4}, rng));
   }
@@ -371,7 +353,8 @@ TEST(ActivationCacheHygiene, SetStageSweepsStaleSpillFiles) {
     os << "stale-bytes-from-a-crashed-run";
   }
   ActivationCache cache(cdir, /*memory_entries=*/8);
-  cache.SetStage(1);  // Stage change sweeps everything, tracked or not.
+  // A key with no matching manifest sweeps everything, tracked or not.
+  cache.SetKey(1, Precision::kFloat32, /*generation=*/1);
   EXPECT_FALSE(fs::exists(cdir + "/s0_99.egt"));
 }
 
@@ -380,13 +363,9 @@ TEST(ActivationCacheHygiene, SetStageSweepsStaleSpillFiles) {
 TEST(Manifest, CommitReadVerifyRoundTrip) {
   TempDir dir("mf");
   CkptManifest m;
-  m.kind = "dist";
   m.iter = 42;
   m.world = 3;
   m.frontier = 1;
-  m.next_frontier = 2;
-  m.frozen_elems = 100;
-  m.active_elems = 900;
   m.dir = CheckpointStepDir(dir.path, 42);
   ASSERT_TRUE(EnsureDir(m.dir));
   {
@@ -398,13 +377,9 @@ TEST(Manifest, CommitReadVerifyRoundTrip) {
 
   const auto back = ReadManifest(m.dir);
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->kind, "dist");
   EXPECT_EQ(back->iter, 42);
   EXPECT_EQ(back->world, 3);
   EXPECT_EQ(back->frontier, 1);
-  EXPECT_EQ(back->next_frontier, 2);
-  EXPECT_EQ(back->frozen_elems, 100);
-  EXPECT_EQ(back->active_elems, 900);
   ASSERT_EQ(back->files.size(), 1U);
   std::string error;
   EXPECT_TRUE(VerifyCheckpointFiles(*back, &error)) << error;
@@ -421,7 +396,6 @@ TEST(Manifest, LatestSkipsIncompleteAndCorruptSteps) {
   TempDir dir("latest");
   auto write_step = [&](int64_t iter, bool commit) {
     CkptManifest m;
-    m.kind = "dist";
     m.iter = iter;
     m.dir = CheckpointStepDir(dir.path, iter);
     EXPECT_TRUE(EnsureDir(m.dir));
@@ -458,7 +432,6 @@ TEST(Manifest, RetentionKeepsLastNAndSweepsDebris) {
   TempDir dir("retain");
   auto write_step = [&](int64_t iter, bool commit) {
     CkptManifest m;
-    m.kind = "trainer";
     m.iter = iter;
     m.dir = CheckpointStepDir(dir.path, iter);
     EXPECT_TRUE(EnsureDir(m.dir));
@@ -707,9 +680,9 @@ TEST(TrainerResume, CheckpointedRunResumesBitwiseIdentical) {
   TempDir dir("resume");
   TrainerWorkload wb = MakeTrainerWorkload();
   TrainConfig cfg = FreezingTrainConfig();
-  cfg.checkpoint.dir = dir.path;
-  cfg.checkpoint.interval_iters = 16;
-  cfg.checkpoint.keep_last = 2;
+  cfg.ckpt.dir = dir.path;
+  cfg.ckpt.interval_iters = 16;
+  cfg.ckpt.keep_last = 2;
   {
     TrainConfig crash = cfg;
     crash.stop_after_iters = 50;
@@ -745,9 +718,9 @@ TEST(TrainerResume, AdamStateSurvivesResumeBitwise) {
     cfg.lr_schedule = std::make_shared<ConstantLr>(0.002F);
     cfg.val_batches = 2;
     if (!ckpt_dir.empty()) {
-      cfg.checkpoint.dir = ckpt_dir;
-      cfg.checkpoint.interval_iters = 10;
-      cfg.checkpoint.resume = !fresh;
+      cfg.ckpt.dir = ckpt_dir;
+      cfg.ckpt.interval_iters = 10;
+      cfg.ckpt.resume = !fresh;
     }
     cfg.stop_after_iters = stop_after;
     Trainer t(*w.model, *w.train, *w.val, cfg);

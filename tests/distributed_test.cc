@@ -1,8 +1,8 @@
 // Distributed substrate: network model, communication scheduler properties
 // (ByteScheduler <= FIFO; Egeria reduces both compute and traffic), real all-reduce
 // correctness (ring vs sequential reference, bitwise), shard repartitioning under
-// freezing, the data-parallel harness, and checkpoint resume (same-world,
-// elastic, and async vs inline saves).
+// freezing, the data-parallel harness (a world of one is the plain Trainer),
+// and checkpoint resume (same-world, elastic, and async vs inline saves).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -17,8 +17,10 @@
 #include <mutex>
 #include <thread>
 
+#include "src/baselines/freeze_baselines.h"
 #include "src/ckpt/checkpoint.h"
 #include "src/core/module_partitioner.h"
+#include "src/core/trainer.h"
 #include "src/data/synthetic_image.h"
 #include "src/distributed/allreduce.h"
 #include "src/distributed/comm_scheduler.h"
@@ -423,106 +425,33 @@ TEST(RingAllReduce, WorldOneIsIdentity) {
   EXPECT_EQ(ring.TotalWireBytes(), 0);
 }
 
-class DistTrainerTest : public ::testing::Test {
- protected:
-  static std::unique_ptr<ChainModel> MakeModel() {
-    Rng rng(41);
-    CifarResNetConfig mcfg;
-    mcfg.blocks_per_stage = 1;
-    mcfg.base_width = 4;
-    mcfg.num_classes = 4;
-    return PartitionIntoChain("r", BuildCifarResNetBlocks(mcfg, rng),
-                              PartitionConfig{.target_modules = 3});
-  }
-};
-
-TEST_F(DistTrainerTest, ReplicasStayConsistentAndLearn) {
-  SyntheticImageConfig dcfg;
-  dcfg.num_classes = 4;
-  dcfg.num_samples = 128;
-  dcfg.height = 10;
-  dcfg.width = 10;
-  dcfg.noise_std = 0.4F;
-  SyntheticImageDataset train(dcfg);
-  auto vcfg = dcfg;
-  vcfg.sample_salt = 999999;
-  vcfg.num_samples = 32;
-  SyntheticImageDataset val(vcfg);
-
-  DistTrainConfig cfg;
-  cfg.world = 2;
-  cfg.epochs = 6;
-  cfg.batch_size = 8;
-  cfg.task.kind = TaskKind::kClassification;
-  cfg.lr_schedule = std::make_shared<ConstantLr>(0.05F);
-  DistTrainResult r = TrainDataParallel(MakeModel, train, val, cfg);
+// The DistTrainerTest runs train the `tiny` workload (dist_workload.h).
+TEST(DistTrainerTest, ReplicasStayConsistentAndLearn) {
+  DistWorkload w = MakeDistWorkload("tiny");
+  w.cfg.world = 2;
+  w.cfg.epochs = 6;
+  DistTrainResult r = TrainDataParallel(w.make_model, *w.train, *w.val, w.cfg);
   EXPECT_TRUE(r.replicas_consistent);
   EXPECT_GT(r.final_display, 0.6);
   EXPECT_EQ(r.bytes_synced, r.bytes_full_model);  // Nothing frozen.
 }
 
-TEST_F(DistTrainerTest, EgeriaCutsSynchronizationTraffic) {
-  SyntheticImageConfig dcfg;
-  dcfg.num_classes = 4;
-  dcfg.num_samples = 128;
-  dcfg.height = 10;
-  dcfg.width = 10;
-  dcfg.noise_std = 0.4F;
-  SyntheticImageDataset train(dcfg);
-  auto vcfg = dcfg;
-  vcfg.sample_salt = 999999;
-  vcfg.num_samples = 32;
-  SyntheticImageDataset val(vcfg);
-
-  DistTrainConfig cfg;
-  cfg.world = 2;
-  cfg.epochs = 20;
-  cfg.batch_size = 8;
-  cfg.task.kind = TaskKind::kClassification;
-  cfg.lr_schedule = std::make_shared<ConstantLr>(0.05F);
-  cfg.enable_egeria = true;
-  cfg.egeria.tolerance_coef = 0.4;  // Short run: loosen the slope tolerance.
-  cfg.egeria.async_controller = false;
-  cfg.egeria.eval_interval_n = 4;
-  cfg.egeria.window_w = 3;
-  cfg.egeria.enable_cache = false;
-  cfg.egeria.ref_update_evals = 2;
-  DistTrainResult r = TrainDataParallel(MakeModel, train, val, cfg);
-  EXPECT_TRUE(r.replicas_consistent);
-  EXPECT_GT(r.final_frontier, 0) << "controller froze nothing";
-  EXPECT_LT(r.bytes_synced, r.bytes_full_model);
-}
-
 // The ZeRO-1 ring path and the replicated reference path implement the same
 // reduction contract and the same compiled SGD arithmetic, so whole training
 // runs must agree bitwise — with and without freezing mid-run.
-TEST_F(DistTrainerTest, ShardedPathBitwiseMatchesReferencePath) {
-  SyntheticImageConfig dcfg;
-  dcfg.num_classes = 4;
-  dcfg.num_samples = 128;
-  dcfg.height = 10;
-  dcfg.width = 10;
-  dcfg.noise_std = 0.4F;
-  SyntheticImageDataset train(dcfg);
-  auto vcfg = dcfg;
-  vcfg.sample_salt = 999999;
-  vcfg.num_samples = 32;
-  SyntheticImageDataset val(vcfg);
-
+TEST(DistTrainerTest, ShardedPathBitwiseMatchesReferencePath) {
   for (int world : {2, 3}) {
-    DistTrainConfig cfg;
+    DistWorkload w = MakeDistWorkload("tiny");
+    DistTrainConfig& cfg = w.cfg;
     cfg.world = world;
     cfg.epochs = 4;
-    cfg.batch_size = 8;
-    cfg.task.kind = TaskKind::kClassification;
-    cfg.lr_schedule = std::make_shared<ConstantLr>(0.05F);
     cfg.reducer = DistTrainConfig::Reducer::kSequentialReference;
-    DistTrainResult ref = TrainDataParallel(MakeModel, train, val, cfg);
+    DistTrainResult ref = TrainDataParallel(w.make_model, *w.train, *w.val, cfg);
     cfg.reducer = DistTrainConfig::Reducer::kRingSharded;
-    DistTrainResult ring = TrainDataParallel(MakeModel, train, val, cfg);
+    DistTrainResult ring = TrainDataParallel(w.make_model, *w.train, *w.val, cfg);
     // Same schedule, real sockets: the TCP backend must not change a single bit.
     cfg.transport = DistTrainConfig::TransportKind::kTcp;
-    DistTrainResult tcp = TrainDataParallel(MakeModel, train, val, cfg);
+    DistTrainResult tcp = TrainDataParallel(w.make_model, *w.train, *w.val, cfg);
 
     EXPECT_TRUE(ref.replicas_consistent);
     EXPECT_TRUE(ring.replicas_consistent);
@@ -538,42 +467,21 @@ TEST_F(DistTrainerTest, ShardedPathBitwiseMatchesReferencePath) {
   }
 }
 
-TEST_F(DistTrainerTest, EgeriaShardedRunMatchesReferenceAndShrinksState) {
-  SyntheticImageConfig dcfg;
-  dcfg.num_classes = 4;
-  dcfg.num_samples = 128;
-  dcfg.height = 10;
-  dcfg.width = 10;
-  dcfg.noise_std = 0.4F;
-  SyntheticImageDataset train(dcfg);
-  auto vcfg = dcfg;
-  vcfg.sample_salt = 999999;
-  vcfg.num_samples = 32;
-  SyntheticImageDataset val(vcfg);
-
-  DistTrainConfig cfg;
+TEST(DistTrainerTest, EgeriaShardedRunMatchesReferenceAndShrinksState) {
+  DistWorkload w = MakeDistWorkload("tiny");
+  DistTrainConfig& cfg = w.cfg;
   cfg.world = 2;
-  cfg.epochs = 20;
-  cfg.batch_size = 8;
-  cfg.task.kind = TaskKind::kClassification;
-  cfg.lr_schedule = std::make_shared<ConstantLr>(0.05F);
   cfg.enable_egeria = true;
-  cfg.egeria.tolerance_coef = 0.4;
-  cfg.egeria.async_controller = false;
-  cfg.egeria.eval_interval_n = 4;
-  cfg.egeria.window_w = 3;
-  cfg.egeria.enable_cache = false;
-  cfg.egeria.ref_update_evals = 2;
 
   cfg.reducer = DistTrainConfig::Reducer::kRingSharded;
-  DistTrainResult ring = TrainDataParallel(MakeModel, train, val, cfg);
+  DistTrainResult ring = TrainDataParallel(w.make_model, *w.train, *w.val, cfg);
   cfg.reducer = DistTrainConfig::Reducer::kSequentialReference;
-  DistTrainResult ref = TrainDataParallel(MakeModel, train, val, cfg);
+  DistTrainResult ref = TrainDataParallel(w.make_model, *w.train, *w.val, cfg);
   // The whole freezing run again over real sockets: mid-run freeze + reshard
   // (momentum migration as ring messages) must reproduce the weights bitwise.
   cfg.reducer = DistTrainConfig::Reducer::kRingSharded;
   cfg.transport = DistTrainConfig::TransportKind::kTcp;
-  DistTrainResult tcp = TrainDataParallel(MakeModel, train, val, cfg);
+  DistTrainResult tcp = TrainDataParallel(w.make_model, *w.train, *w.val, cfg);
 
   // Identical training: same freeze timeline, same weights, bit for bit.
   EXPECT_TRUE(ring.replicas_consistent);
@@ -612,6 +520,91 @@ TEST_F(DistTrainerTest, EgeriaShardedRunMatchesReferenceAndShrinksState) {
   EXPECT_LE(first.opt_state_bytes_per_rank,
             first.active_elems * static_cast<int64_t>(sizeof(float)) / cfg.world +
                 static_cast<int64_t>(sizeof(float)));
+}
+
+uint64_t HashParams(ChainModel& model) {
+  uint64_t hash = kFnv64Offset;
+  for (const Parameter* p : model.ParamsFrom(0)) {
+    hash = Fnv1a64(p->value.Data(), static_cast<size_t>(p->value.NumEl()) * sizeof(float),
+                   hash);
+  }
+  return hash;
+}
+
+// A world of one is plain single-process training: TrainDataParallel's ring
+// at W=1 trains the weights the Trainer's local sync does, bit for bit.
+TEST(OneLoop, WorldOfOneMatchesTrainerBitwise) {
+  DistWorkload w = MakeDistWorkload("tiny");
+  w.cfg.world = 1;
+  w.cfg.epochs = 3;
+  const DistTrainResult world = TrainDataParallel(w.make_model, *w.train, *w.val, w.cfg);
+  ASSERT_TRUE(world.status.ok()) << world.status.message;
+
+  std::unique_ptr<ChainModel> model = w.make_model();
+  Trainer trainer(*model, *w.train, *w.val, w.cfg);
+  const TrainResult single = trainer.Run();
+  EXPECT_EQ(world.params_hash, HashParams(*model));
+  EXPECT_EQ(world.iterations, single.iterations);
+  EXPECT_DOUBLE_EQ(world.final_score, single.final_metric.score);
+}
+
+// The ring sync over a one-rank transport is the local sync: under a static
+// freeze (a frontier move made by a hook, repartitioned after the update) the
+// weights and the freeze events match bit for bit.
+TEST(OneLoop, RingSyncAtWorldOneMatchesLocalSyncUnderStaticFreeze) {
+  auto run = [](bool ring) {
+    DistWorkload w = MakeDistWorkload("tiny");
+    w.cfg.epochs = 4;
+    std::unique_ptr<ChainModel> model = w.make_model();
+    InprocTransportGroup group(1);
+    RingSync ring_sync(group.Get(0), w.cfg.momentum, w.cfg.weight_decay);
+    StaticFreezeHook hook(/*epoch=*/1, /*stage=*/0);
+    Trainer trainer(*model, *w.train, *w.val, w.cfg, ring ? &ring_sync : nullptr);
+    trainer.SetFreezeHook(&hook);
+    const TrainResult r = trainer.Run();
+    return std::make_pair(r, HashParams(*model));
+  };
+  const auto [local, local_hash] = run(false);
+  const auto [ring, ring_hash] = run(true);
+  ASSERT_EQ(local.final_frontier, 1);
+  EXPECT_EQ(ring_hash, local_hash);
+  ASSERT_EQ(ring.freeze_events.size(), local.freeze_events.size());
+  for (size_t i = 0; i < ring.freeze_events.size(); ++i) {
+    EXPECT_EQ(ring.freeze_events[i].iter, local.freeze_events[i].iter);
+    EXPECT_EQ(ring.freeze_events[i].unfreeze, local.freeze_events[i].unfreeze);
+    EXPECT_EQ(ring.freeze_events[i].frontier_after, local.freeze_events[i].frontier_after);
+  }
+}
+
+// Both world syncs drop a stage's momentum when it freezes, so the ring and
+// the star reference agree bitwise through an unfreeze as well: the stages
+// that come back restart at zero momentum on both.
+TEST(DistFreezing, RingMatchesReferenceThroughFreezeAndUnfreeze) {
+  auto run = [](DistTrainConfig::Reducer reducer) {
+    DistWorkload w = MakeDistWorkload("tiny");
+    w.cfg.world = 2;
+    w.cfg.enable_egeria = true;
+    w.cfg.reducer = reducer;
+    // A 20x drop at iteration 100, after the first freeze: one 10x step
+    // decay rounds above the unfreeze threshold in float and never unfreezes.
+    w.cfg.lr_schedule =
+        std::make_shared<StepDecayLr>(0.05F, 0.05F, std::vector<int64_t>{100});
+    return TrainDataParallel(w.make_model, *w.train, *w.val, w.cfg);
+  };
+  const DistTrainResult ref = run(DistTrainConfig::Reducer::kSequentialReference);
+  const DistTrainResult ring = run(DistTrainConfig::Reducer::kRingSharded);
+  ASSERT_TRUE(ref.replicas_consistent);
+  ASSERT_TRUE(ring.replicas_consistent);
+  bool froze = false;
+  bool unfroze = false;
+  for (size_t i = 1; i < ring.reshard_events.size(); ++i) {
+    froze = froze || ring.reshard_events[i].frontier > ring.reshard_events[i - 1].frontier;
+    unfroze = unfroze || (froze && ring.reshard_events[i].frontier <
+                                       ring.reshard_events[i - 1].frontier);
+  }
+  ASSERT_TRUE(unfroze) << "no freeze followed by an unfreeze; the pin is hollow";
+  EXPECT_EQ(ring.params_hash, ref.params_hash);
+  EXPECT_EQ(ring.final_frontier, ref.final_frontier);
 }
 
 // Harness-level pin over whole freezing runs of the `tiny` workload: the ring
@@ -657,7 +650,7 @@ TEST(DistPhases, RingRoundRecordsCommWaitAndOptOnEveryRank) {
   DistWorkload w = MakeDistWorkload("tiny");
   w.cfg.world = 2;
   w.cfg.epochs = 2;
-  const obs::Histogram& comm_wait = obs::GetHistogram("dist.comm_wait_s");
+  const obs::Histogram& comm_wait = obs::GetHistogram("trainer.comm_wait_s");
   const int64_t before = comm_wait.Count();
   InprocTransportGroup group(w.cfg.world);
   std::vector<RankTrainResult> results(static_cast<size_t>(w.cfg.world));
@@ -785,70 +778,64 @@ TEST(DistResume, ElasticResumeWorld4To3AgreesAcrossTransports) {
 // have: same manifests (per-file sizes AND content hashes), and a resume from
 // either reproduces the uninterrupted run exactly.
 TEST(AsyncCheckpoint, BackgroundSavePersistsBitwiseIdenticalState) {
-  const std::string dir_async = MakeCkptDir("async");
-  const std::string dir_sync = MakeCkptDir("sync");
+  for (int world : {1, 3}) {
+    SCOPED_TRACE("world " + std::to_string(world));
+    const std::string dir_async = MakeCkptDir("async");
+    const std::string dir_sync = MakeCkptDir("sync");
 
-  auto stage = [&](const std::string& dir, bool async_save) {
-    DistWorkload w = MakeDistWorkload("tiny");
-    w.cfg.world = 3;
-    w.cfg.enable_egeria = true;
-    w.cfg.ckpt.dir = dir;
-    w.cfg.ckpt.interval_iters = 4;
-    w.cfg.ckpt.async_save = async_save;
-    w.cfg.stop_after_iters = 10;
-    return TrainDataParallel(w.make_model, *w.train, *w.val, w.cfg);
-  };
-  const DistTrainResult a = stage(dir_async, true);
-  const DistTrainResult s = stage(dir_sync, false);
-  ASSERT_TRUE(a.stopped_early);
-  ASSERT_TRUE(s.stopped_early);
-  EXPECT_EQ(a.params_hash, s.params_hash);
+    auto train = [&](const std::string& dir, bool async_save, int64_t stop_after) {
+      DistWorkload w = MakeDistWorkload("tiny");
+      w.cfg.world = world;
+      w.cfg.enable_egeria = true;
+      w.cfg.ckpt.dir = dir;
+      w.cfg.ckpt.interval_iters = 4;
+      w.cfg.ckpt.async_save = async_save;
+      w.cfg.stop_after_iters = stop_after;
+      return TrainDataParallel(w.make_model, *w.train, *w.val, w.cfg);
+    };
+    const DistTrainResult a = train(dir_async, true, 10);
+    const DistTrainResult s = train(dir_sync, false, 10);
+    ASSERT_TRUE(a.stopped_early);
+    ASSERT_TRUE(s.stopped_early);
+    EXPECT_EQ(a.params_hash, s.params_hash);
 
-  const auto ma = FindLatestCheckpoint(dir_async);
-  const auto ms = FindLatestCheckpoint(dir_sync);
-  ASSERT_TRUE(ma.has_value());
-  ASSERT_TRUE(ms.has_value());
-  EXPECT_EQ(ma->iter, 10);
-  EXPECT_EQ(ms->iter, ma->iter);
-  // Same files, same bytes, same content hashes — capture-then-background
-  // write changed WHEN the bytes landed, not WHICH bytes.
-  std::map<std::string, std::pair<int64_t, uint64_t>> af;
-  for (const ManifestFile& f : ma->files) {
-    af[f.name] = {f.bytes, f.fnv};
-  }
-  ASSERT_EQ(ms->files.size(), af.size());
-  for (const ManifestFile& f : ms->files) {
-    const auto it = af.find(f.name);
-    ASSERT_NE(it, af.end()) << "async manifest missing " << f.name;
-    EXPECT_EQ(it->second.first, f.bytes) << f.name;
-    if (f.name == "controller.state") {
-      // Serializes measured eval wall-seconds — nondeterministic between ANY
-      // two runs (sync included), so content equality is not expected here.
-      continue;
+    const auto ma = FindLatestCheckpoint(dir_async);
+    const auto ms = FindLatestCheckpoint(dir_sync);
+    ASSERT_TRUE(ma.has_value());
+    ASSERT_TRUE(ms.has_value());
+    EXPECT_EQ(ma->iter, 10);
+    EXPECT_EQ(ms->iter, ma->iter);
+    // Same files, same bytes, same content hashes — capture-then-background
+    // write changed WHEN the bytes landed, not WHICH bytes.
+    std::map<std::string, std::pair<int64_t, uint64_t>> af;
+    for (const ManifestFile& f : ma->files) {
+      af[f.name] = {f.bytes, f.fnv};
     }
-    EXPECT_EQ(it->second.second, f.fnv)
-        << f.name << " persisted different bytes under the async writer";
-  }
+    ASSERT_EQ(ms->files.size(), af.size());
+    for (const ManifestFile& f : ms->files) {
+      const auto it = af.find(f.name);
+      ASSERT_NE(it, af.end()) << "async manifest missing " << f.name;
+      EXPECT_EQ(it->second.first, f.bytes) << f.name;
+      if (f.name == "controller.state") {
+        // Serializes measured eval wall-seconds — nondeterministic between ANY
+        // two runs (sync included), so content equality is not expected here.
+        continue;
+      }
+      EXPECT_EQ(it->second.second, f.fnv)
+          << f.name << " persisted different bytes under the async writer";
+    }
 
-  // Both resumes continue to the same final weights as each other.
-  auto resume = [&](const std::string& dir, bool async_save) {
-    DistWorkload w = MakeDistWorkload("tiny");
-    w.cfg.world = 3;
-    w.cfg.enable_egeria = true;
-    w.cfg.ckpt.dir = dir;
-    w.cfg.ckpt.interval_iters = 4;
-    w.cfg.ckpt.async_save = async_save;
-    return TrainDataParallel(w.make_model, *w.train, *w.val, w.cfg);
-  };
-  const DistTrainResult ra = resume(dir_async, true);
-  const DistTrainResult rs = resume(dir_sync, false);
-  EXPECT_EQ(ra.resumed_from_iter, 10);
-  EXPECT_EQ(rs.resumed_from_iter, 10);
-  EXPECT_TRUE(ra.replicas_consistent);
-  EXPECT_EQ(ra.params_hash, rs.params_hash)
-      << "async-saved checkpoint resumed to different weights";
-  std::filesystem::remove_all(dir_async);
-  std::filesystem::remove_all(dir_sync);
+    // Both resumes continue to the same final weights as each other.
+    const DistTrainResult ra = train(dir_async, true, -1);
+    const DistTrainResult rs = train(dir_sync, false, -1);
+    EXPECT_EQ(ra.resumed_from_iter, 10);
+    EXPECT_EQ(rs.resumed_from_iter, 10);
+    EXPECT_TRUE(ra.replicas_consistent);
+    EXPECT_EQ(ra.params_hash, rs.params_hash)
+        << "async-saved checkpoint resumed to different weights";
+    std::filesystem::remove_all(dir_async);
+    std::filesystem::remove_all(dir_sync);
+  }
 }
 
 }  // namespace

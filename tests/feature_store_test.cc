@@ -3,9 +3,9 @@
 // eviction, corrupt-spill hygiene under the keyed filename schema, manifest
 // adoption across a process restart, the prefix-determinism gate, and the
 // Trainer-level contracts — cached freezing runs bitwise identical to uncached
-// ones (ResNet and Transformer geometries), the store declining under
-// epoch-varying augmentation, and the store surviving a crash/resume cycle
-// alongside the checkpoint directory.
+// ones (ResNet and Transformer geometries, and every rank of a two-rank ring
+// world), the store declining under epoch-varying augmentation, and the store
+// surviving a crash/resume cycle alongside the checkpoint directory.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,6 +22,9 @@
 #include "src/core/trainer.h"
 #include "src/data/synthetic_image.h"
 #include "src/data/synthetic_text.h"
+#include "src/distributed/dist_trainer.h"
+#include "src/distributed/dist_workload.h"
+#include "src/distributed/transport/inproc_transport.h"
 #include "src/models/resnet.h"
 #include "src/models/transformer.h"
 #include "src/nn/dropout.h"
@@ -192,23 +195,6 @@ TEST(FeatureStore, AdoptionRefusedOnGenerationMismatch) {
   EXPECT_EQ(cache.Stats().adopted, 0);
   EXPECT_FALSE(cache.HasAll(ids));
   EXPECT_EQ(SpillFileCount(store), 0);
-}
-
-TEST(FeatureStore, LegacyUnkeyedModeNeverAdopts) {
-  TempDir dir("fs-legacy");
-  const std::string store = dir.path + "/store";
-  const std::vector<int64_t> ids = {1, 2};
-  {
-    ActivationCache cache(store, 8, int64_t{4} << 30, /*persistent=*/true);
-    cache.SetStage(0);  // generation 0: the unkeyed SetStage mode
-    cache.StoreBatch(ids, ActsFor(ids));
-  }
-  EXPECT_FALSE(fs::exists(store + "/store.manifest"))
-      << "generation 0 must not write a manifest";
-  ActivationCache cache(store, 8, int64_t{4} << 30, /*persistent=*/true);
-  cache.SetStage(0);
-  EXPECT_EQ(cache.Stats().adopted, 0);
-  EXPECT_FALSE(cache.HasAll(ids));
 }
 
 // ----------------------------------------------------------------- concurrency
@@ -410,6 +396,48 @@ TEST(FeatureStoreTrainer, ResNetCachedRunBitwiseIdenticalAndSkipsWholeEpochs) {
   EXPECT_GT(r_off.frozen_fp_seconds, r_on.frozen_fp_seconds);
 }
 
+// Every rank of a world keeps its own store (its own directory, its own
+// batches: b * world + rank), so a two-rank ring world trains the same bits
+// with the store on as off — on every replica — while rank 0 skips forwards.
+TEST(FeatureStoreTrainer, TwoRankRingWorldCachedRunBitwiseIdentical) {
+  constexpr int kWorld = 2;
+  auto run = [](bool enable_cache) {
+    DistWorkload w = MakeDistWorkload("tiny");
+    TrainConfig cfg = StaticFreezeConfig(/*epochs=*/10);
+    cfg.batch_size = w.cfg.batch_size;
+    cfg.egeria.enable_cache = enable_cache;
+    InprocTransportGroup group(kWorld);
+    std::vector<TrainResult> results(kWorld);
+    std::vector<uint64_t> hashes(kWorld);
+    std::vector<std::thread> ranks;
+    for (int r = 0; r < kWorld; ++r) {
+      ranks.emplace_back([&, r] {
+        std::unique_ptr<ChainModel> model = w.make_model();
+        RingSync sync(group.Get(r), cfg.momentum, cfg.weight_decay);
+        StaticFreezeHook hook(/*epoch=*/1, /*stage=*/0);
+        Trainer trainer(*model, *w.train, *w.val, cfg, &sync);
+        trainer.SetFreezeHook(&hook);
+        results[static_cast<size_t>(r)] = trainer.Run();
+        hashes[static_cast<size_t>(r)] = HashModelState(*model);
+      });
+    }
+    for (std::thread& t : ranks) {
+      t.join();
+    }
+    return std::make_pair(results, hashes);
+  };
+  const auto [on, hashes_on] = run(true);
+  const auto [off, hashes_off] = run(false);
+  for (int r = 0; r < kWorld; ++r) {
+    ASSERT_TRUE(on[static_cast<size_t>(r)].status.ok());
+    EXPECT_EQ(on[static_cast<size_t>(r)].final_frontier, 1);
+    EXPECT_EQ(hashes_on[static_cast<size_t>(r)], hashes_off[static_cast<size_t>(r)])
+        << "rank " << r << ": the feature store changed training numerics";
+  }
+  EXPECT_GT(on[0].fp_skip_count, 0) << "rank 0's store never served";
+  EXPECT_EQ(off[0].fp_skip_count, 0);
+}
+
 TEST(FeatureStoreTrainer, TransformerCachedRunBitwiseIdentical) {
   TempDir caches("fst-transformer");
   auto run = [&](bool enable_cache) {
@@ -502,9 +530,9 @@ TEST(FeatureStoreTrainer, StoreSurvivesCrashResumeNextToCheckpoints) {
   TempDir dir("fst-resume");
   TrainConfig cfg = StaticFreezeConfig(/*epochs=*/6);
   cfg.egeria.enable_cache = true;
-  cfg.checkpoint.dir = dir.path;
-  cfg.checkpoint.interval_iters = 8;
-  cfg.checkpoint.keep_last = 2;
+  cfg.ckpt.dir = dir.path;
+  cfg.ckpt.interval_iters = 8;
+  cfg.ckpt.keep_last = 2;
   {
     ResNetWorkload w = MakeResNetWorkload(kSeed);
     TrainConfig crash = cfg;

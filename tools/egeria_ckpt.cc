@@ -2,7 +2,7 @@
 // subsystem.
 //
 //   egeria_ckpt list <root>       all step_* checkpoints under <root> with
-//                                 iter/kind/world/frontier and completeness
+//                                 iter/world/frontier and completeness
 //   egeria_ckpt latest <root>     print the latest COMPLETE step dir
 //                                 (exit 1 if none — scriptable)
 //   egeria_ckpt show <step_dir>   manifest header, per-file checksums, and
@@ -61,19 +61,19 @@ int List(const std::string& root) {
     return 1;
   }
   std::sort(steps.begin(), steps.end());
-  std::printf("%-32s %10s %-8s %5s %8s %6s  %s\n", "step", "iter", "kind", "world",
-              "frontier", "files", "status");
+  std::printf("%-32s %10s %5s %8s %6s  %s\n", "step", "iter", "world", "frontier",
+              "files", "status");
   for (const std::string& dir : steps) {
     const auto m = ReadManifest(dir);
     const std::string name = fs::path(dir).filename().string();
     if (!m) {
-      std::printf("%-32s %10s %-8s %5s %8s %6s  %s\n", name.c_str(), "-", "-", "-",
-                  "-", "-", "INCOMPLETE (no manifest)");
+      std::printf("%-32s %10s %5s %8s %6s  %s\n", name.c_str(), "-", "-", "-", "-",
+                  "INCOMPLETE (no manifest)");
       continue;
     }
-    std::printf("%-32s %10lld %-8s %5d %8d %6zu  %s\n", name.c_str(),
-                static_cast<long long>(m->iter), m->kind.c_str(), m->world,
-                m->frontier, m->files.size(), StatusOf(dir).c_str());
+    std::printf("%-32s %10lld %5d %8d %6zu  %s\n", name.c_str(),
+                static_cast<long long>(m->iter), m->world, m->frontier,
+                m->files.size(), StatusOf(dir).c_str());
   }
   return 0;
 }
@@ -97,13 +97,9 @@ int Show(const std::string& step_dir) {
     return 1;
   }
   std::printf("checkpoint   %s\n", step_dir.c_str());
-  std::printf("kind         %s\n", m->kind.c_str());
   std::printf("iter         %lld\n", static_cast<long long>(m->iter));
   std::printf("world        %d\n", m->world);
-  std::printf("frontier     %d (next %d)\n", m->frontier, m->next_frontier);
-  std::printf("partition    frozen=%lld active=%lld elems\n",
-              static_cast<long long>(m->frozen_elems),
-              static_cast<long long>(m->active_elems));
+  std::printf("frontier     %d\n", m->frontier);
   std::printf("status       %s\n", StatusOf(step_dir).c_str());
   std::printf("files:\n");
   for (const ManifestFile& f : m->files) {
