@@ -1,11 +1,10 @@
 // System-overhead microbenchmarks (paper S6.5): reference-model generation
-// (quantization) latency, SPSC queue throughput, activation-cache store/fetch, and
-// one full controller-side plasticity evaluation.
+// (quantization) latency, activation-cache store/fetch, and one full
+// controller-side plasticity evaluation.
 #include <benchmark/benchmark.h>
 
 #include "src/core/activation_cache.h"
 #include "src/core/module_partitioner.h"
-#include "src/core/spsc_queue.h"
 #include "src/metrics/sp_loss.h"
 #include "src/models/resnet.h"
 #include "src/obs/trace.h"
@@ -61,21 +60,11 @@ void BM_PlasticityEvaluation(benchmark::State& state) {
 }
 BENCHMARK(BM_PlasticityEvaluation);
 
-void BM_SpscQueueRoundTrip(benchmark::State& state) {
-  SpscQueue<int64_t> queue(64);
-  int64_t i = 0;
-  for (auto _ : state) {
-    queue.TryPush(i++);
-    benchmark::DoNotOptimize(queue.TryPop());
-  }
-}
-BENCHMARK(BM_SpscQueueRoundTrip);
-
 void BM_CacheStoreBatch(benchmark::State& state) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "egeria_bench_cache_store").string();
   ActivationCache cache(dir, 256);
-  cache.SetKey(0, Precision::kFloat32, /*generation=*/1);
+  cache.SetKey(0, /*generation=*/1);
   Rng rng(7);
   Tensor act = Tensor::Randn({16, 8, 8, 8}, rng);
   int64_t id = 0;
@@ -124,7 +113,7 @@ void BM_CacheFetchBatchFromMemory(benchmark::State& state) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "egeria_bench_cache_fetch").string();
   ActivationCache cache(dir, 256);
-  cache.SetKey(0, Precision::kFloat32, /*generation=*/1);
+  cache.SetKey(0, /*generation=*/1);
   Rng rng(8);
   Tensor act = Tensor::Randn({16, 8, 8, 8}, rng);
   std::vector<int64_t> ids(16);

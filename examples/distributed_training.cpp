@@ -44,7 +44,6 @@ int main() {
   cfg.task.kind = TaskKind::kClassification;
   cfg.lr_schedule = std::make_shared<ConstantLr>(0.05F);
   cfg.enable_egeria = true;
-  cfg.egeria.async_controller = false;
   cfg.egeria.eval_interval_n = 6;
   cfg.egeria.window_w = 3;
   cfg.egeria.tolerance_coef = 0.4;

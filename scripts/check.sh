@@ -274,9 +274,8 @@ echo "== dist smoke: injected-delay straggler -> live scrape + --diagnose =="
 # to scrape rank 0's live /metrics mid-run (the tiny run without delays is
 # over in <100 ms — scraping it is a lost race by construction). Injected
 # delay is pure sleep, so the trained-weights hash must STILL pin against the
-# undelayed, unscraped reference. The online detector's EGERIA_STRAGGLER line
-# is printed when the heartbeat fold caught it too (advisory: short runs may
-# finish before a beat ships the skewed histograms).
+# undelayed, unscraped reference. The diagnosis is the one definition of
+# straggler skew; the heartbeat carries liveness only.
 strag_tmp="$resume_tmp/straggler"
 mkdir -p "$strag_tmp"
 EGERIA_TRACE=1 EGERIA_TRACE_DIR="$strag_tmp" EGERIA_EXPORTER=1 \
@@ -324,7 +323,6 @@ if [ "$strag_hash" != "$ref_hash" ]; then
   echo "check.sh: delayed+scraped-run hash $strag_hash != reference $ref_hash" >&2
   exit 1
 fi
-grep -h '^EGERIA_STRAGGLER' "$strag_tmp/logs"/rank_*.log || true
 ./build/egeria_trace --diagnose \
   "$strag_tmp"/trace_rank0.json "$strag_tmp"/trace_rank1.json \
   | tee "$repo_root/build/diagnosis_straggler.txt"

@@ -18,18 +18,6 @@ namespace {
 
 constexpr const char* kManifestName = "store.manifest";
 
-int PrecisionIndex(Precision p) {
-  switch (p) {
-    case Precision::kFloat32:
-      return 0;
-    case Precision::kFloat16:
-      return 1;
-    case Precision::kInt8:
-      return 2;
-  }
-  return 0;
-}
-
 }  // namespace
 
 ActivationCache::ActivationCache(std::string dir, int64_t memory_entries,
@@ -55,8 +43,7 @@ ActivationCache::~ActivationCache() {
 
 std::string ActivationCache::PathForLocked(int64_t id) const {
   return dir_ + "/v" + std::to_string(kSpillFormatVersion) + "_s" +
-         std::to_string(stage_) + "_p" + std::to_string(PrecisionIndex(precision_)) +
-         "_" + std::to_string(id) + ".egt";
+         std::to_string(stage_) + "_" + std::to_string(id) + ".egt";
 }
 
 int ActivationCache::stage() const {
@@ -77,12 +64,10 @@ bool ActivationCache::ManifestMatches() const {
   std::string tag;
   uint32_t version = 0;
   int stage = -2;
-  int precision = -1;
   uint64_t generation = 0;
-  is >> tag >> version >> stage >> precision >> generation;
+  is >> tag >> version >> stage >> generation;
   return static_cast<bool>(is) && tag == "egeria-feature-store" &&
-         version == kSpillFormatVersion && stage == stage_ &&
-         precision == PrecisionIndex(precision_) && generation == generation_;
+         version == kSpillFormatVersion && stage == stage_ && generation == generation_;
 }
 
 void ActivationCache::WriteManifest() const {
@@ -92,7 +77,7 @@ void ActivationCache::WriteManifest() const {
   {
     std::ofstream os(tmp, std::ios::trunc);
     os << "egeria-feature-store " << kSpillFormatVersion << " " << stage_ << " "
-       << PrecisionIndex(precision_) << " " << generation_ << "\n";
+       << generation_ << "\n";
     if (!os) {
       return;
     }
@@ -115,9 +100,8 @@ void ActivationCache::SweepDirectory() {
 }
 
 void ActivationCache::AdoptDirectory() {
-  const std::string prefix = "v" + std::to_string(kSpillFormatVersion) + "_s" +
-                             std::to_string(stage_) + "_p" +
-                             std::to_string(PrecisionIndex(precision_)) + "_";
+  const std::string prefix =
+      "v" + std::to_string(kSpillFormatVersion) + "_s" + std::to_string(stage_) + "_";
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
     if (!entry.is_regular_file(ec)) {
@@ -152,15 +136,13 @@ void ActivationCache::AdoptDirectory() {
   }
 }
 
-void ActivationCache::SetKey(int stage, Precision precision, uint64_t generation) {
+void ActivationCache::SetKey(int stage, uint64_t generation) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (configured_ && stage == stage_ && precision == precision_ &&
-      generation == generation_) {
+  if (configured_ && stage == stage_ && generation == generation_) {
     return;  // Per-iteration fast path.
   }
   configured_ = true;
   stage_ = stage;
-  precision_ = precision;
   generation_ = generation;
   key_epoch_.fetch_add(1, std::memory_order_release);
   memory_.clear();

@@ -11,10 +11,10 @@
 //
 // The store tracks exactly one composite key at a time:
 //
-//   (spill format version, boundary stage, prefix precision, generation)
+//   (spill format version, boundary stage, generation)
 //
-// The first three are encoded in every spill filename
-// (v<fmt>_s<stage>_p<prec>_<sample id>.egt); `generation` is a caller-computed
+// The first two are encoded in every spill filename
+// (v<fmt>_s<stage>_<sample id>.egt); `generation` is a caller-computed
 // validity token (the Trainer mixes the frozen-prefix parameter hash with the
 // data layer's augmentation signature) recorded in a store manifest. SetKey with
 // a changed component invalidates; SetKey on a fresh instance whose directory
@@ -39,7 +39,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/nn/module.h"
 #include "src/tensor/tensor.h"
 #include "src/util/thread_pool.h"
 
@@ -61,7 +60,7 @@ class ActivationCache {
  public:
   // Filename/manifest schema version. Bump on any incompatible change to the
   // spill layout; old files then never match the expected prefix and are swept.
-  static constexpr uint32_t kSpillFormatVersion = 1;
+  static constexpr uint32_t kSpillFormatVersion = 2;
 
   // `dir`: on-disk location (created if absent). `memory_entries`: max per-sample
   // slices kept in RAM. `max_disk_bytes`: storage budget (paper: "users can set
@@ -75,7 +74,7 @@ class ActivationCache {
   // everything — except that a key matching the directory's manifest adopts
   // the surviving spill files (crash/resume continuity). Calling with the
   // current key is a cheap no-op (safe per iteration).
-  void SetKey(int stage, Precision precision, uint64_t generation);
+  void SetKey(int stage, uint64_t generation);
   int stage() const;
   uint64_t generation() const;
 
@@ -114,7 +113,6 @@ class ActivationCache {
   int64_t max_disk_bytes_;
   bool persistent_;
   int stage_ = -1;
-  Precision precision_ = Precision::kFloat32;
   uint64_t generation_ = 0;
   bool configured_ = false;
 

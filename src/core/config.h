@@ -45,15 +45,6 @@ struct EgeriaConfig {
   Precision reference_precision = Precision::kInt8;
   QuantMode quant_mode = QuantMode::kStatic;
 
-  // Forward precision for frozen-prefix stages (applied on every rank of a
-  // world). A frozen stage's forward is input-deterministic and its
-  // parameters fixed, so it can run through the same reduced-precision kernels
-  // as the reference model; kFloat16 halves the frozen prefix's weight
-  // bandwidth on cache-miss iterations. kFloat32 (the default) keeps the exact
-  // pre-freeze forward. Ignored by models that do not support forward
-  // substitution (e.g. the encoder-decoder Transformer).
-  Precision frozen_prefix_precision = Precision::kFloat32;
-
   // Update the reference model from a fresh snapshot every this many plasticity
   // evaluations (the paper's periodic update). Both extremes misbehave: a stale
   // reference amplifies SGD fluctuations (paper S4.1.3), while refreshing every
@@ -61,10 +52,6 @@ struct EgeriaConfig {
   // while the model still improves — causing premature freezes.
   // ~2x window_w is a good default.
   int ref_update_evals = 10;
-
-  // Run the controller on its own thread with SPSC queues (the paper's
-  // non-blocking CPU-side evaluation). Tests use synchronous mode for determinism.
-  bool async_controller = true;
 
   // Forward-pass skipping via the persistent frozen-feature store (S4.3).
   // cache_dir empty: with checkpointing enabled the store lives under

@@ -13,102 +13,108 @@
 
 namespace egeria {
 
-namespace {
-constexpr size_t kEvalQueueCap = 4;
-constexpr size_t kSnapshotQueueCap = 2;
-constexpr size_t kDecisionQueueCap = 64;
-}  // namespace
-
 EgeriaController::EgeriaController(const EgeriaConfig& cfg, int num_stages,
                                    bool lr_annealing)
     : cfg_(cfg),
       factory_(MakeInferenceFactory(cfg.reference_precision, cfg.quant_mode)),
       policy_(cfg, num_stages, lr_annealing),
-      eval_queue_(kEvalQueueCap),
-      snapshot_queue_(kSnapshotQueueCap),
-      decision_queue_(kDecisionQueueCap) {
-  if (cfg_.async_controller) {
-    thread_ = std::thread([this] { ControllerLoop(); });
-  }
-}
+      thread_([this] { ControllerLoop(); }) {}
 
 EgeriaController::~EgeriaController() {
-  stopping_.store(true);
-  if (thread_.joinable()) {
-    thread_.join();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
   }
+  cv_.notify_all();
+  thread_.join();
 }
 
 void EgeriaController::SubmitSnapshot(std::unique_ptr<ChainModel> snapshot) {
   wants_snapshot_.store(false);
-  if (!snapshot_queue_.TryPush(std::move(snapshot))) {
-    // A refresh is already pending; this snapshot is redundant.
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    snapshots_.push_back(std::move(snapshot));
+    ++in_flight_;
   }
+  cv_.notify_all();
 }
 
-bool EgeriaController::SubmitEval(EvalRequest req) {
-  return eval_queue_.TryPush(std::move(req));
+void EgeriaController::SubmitEval(EvalRequest req) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    evals_.push_back(std::move(req));
+    ++in_flight_;
+  }
+  cv_.notify_all();
+}
+
+void EgeriaController::WaitIdle() const {
+  std::unique_lock<std::mutex> lock(mutex_);
+  cv_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 std::vector<FreezeDecision> EgeriaController::DrainDecisions() {
-  std::vector<FreezeDecision> out;
-  while (auto d = decision_queue_.TryPop()) {
-    out.push_back(*d);
-  }
-  return out;
+  WaitIdle();
+  std::lock_guard<std::mutex> lock(mutex_);
+  return std::exchange(decisions_, {});
 }
 
 std::optional<FreezeDecision> EgeriaController::OnLr(float lr, int64_t iter) {
-  std::lock_guard<std::mutex> lock(policy_mutex_);
+  WaitIdle();
   return policy_.OnLr(lr, iter);
 }
 
-void EgeriaController::RunPendingSync() {
-  EGERIA_CHECK_MSG(!cfg_.async_controller, "RunPendingSync in async mode");
-  while (auto snap = snapshot_queue_.TryPop()) {
-    BuildReference(std::move(*snap));
-  }
-  while (auto req = eval_queue_.TryPop()) {
-    ProcessEval(*req);
-  }
-}
-
 double EgeriaController::EvalSeconds() const {
-  std::lock_guard<std::mutex> lock(history_mutex_);
+  WaitIdle();
   return eval_seconds_;
 }
 
 std::vector<PlasticityRecord> EgeriaController::PlasticityHistory() const {
-  std::lock_guard<std::mutex> lock(history_mutex_);
+  WaitIdle();
   return history_;
 }
 
 int EgeriaController::Frontier() const {
-  std::lock_guard<std::mutex> lock(policy_mutex_);
+  WaitIdle();
   return policy_.frontier();
 }
 
 void EgeriaController::ControllerLoop() {
-  while (!stopping_.load()) {
-    if (auto snap = snapshot_queue_.TryPop()) {
-      BuildReference(std::move(*snap));
-      continue;
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    cv_.wait(lock, [this] { return stopping_ || in_flight_ > 0; });
+    if (stopping_) {
+      return;
     }
-    if (auto req = eval_queue_.PopFor(std::chrono::milliseconds(5))) {
-      ProcessEval(*req);
+    // A snapshot before any evaluation: the trainer submits an iteration's
+    // snapshot at its top and its evaluation after the forward.
+    if (!snapshots_.empty()) {
+      std::unique_ptr<ChainModel> snapshot = std::move(snapshots_.front());
+      snapshots_.pop_front();
+      lock.unlock();
+      BuildReference(std::move(snapshot));
+      lock.lock();
+    } else {
+      EvalRequest req = std::move(evals_.front());
+      evals_.pop_front();
+      lock.unlock();
+      const std::optional<FreezeDecision> decision = ProcessEval(req);
+      lock.lock();
+      if (decision) {
+        decisions_.push_back(*decision);
+      }
+    }
+    if (--in_flight_ == 0) {
+      cv_.notify_all();
     }
   }
 }
 
 void EgeriaController::BuildReference(std::unique_ptr<ChainModel> snapshot) {
   WallTimer timer;
-  std::unique_ptr<ChainModel> reference = snapshot->CloneForInference(*factory_);
-  {
-    std::lock_guard<std::mutex> lock(reference_mutex_);
-    reference_ = std::move(reference);
-    ref_snapshot_ = std::move(snapshot);
-    evals_since_refresh_ = 0;
-  }
+  reference_ = snapshot->CloneForInference(*factory_);
+  ref_snapshot_ = std::move(snapshot);
+  evals_since_refresh_ = 0;
   last_quantize_seconds_.store(timer.ElapsedSeconds());
   has_reference_.store(true);
 }
@@ -145,45 +151,33 @@ void ForEachQuantModule(ChainModel& model, Fn&& fn) {
 }  // namespace
 
 void EgeriaController::SaveState(std::ostream& os) {
-  // Sync mode: fold queued snapshot/eval work into the saved state (see
-  // header). Decisions it produces are drained, persisted, and re-enqueued.
+  // Fold the work in flight into the saved state (see header); its decisions
+  // stay queued for the next drain.
+  WaitIdle();
   std::vector<FreezeDecision> pending;
-  if (!cfg_.async_controller) {
-    RunPendingSync();
-    pending = DrainDecisions();
-    for (const FreezeDecision& d : pending) {
-      decision_queue_.TryPush(d);
-    }
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    pending = decisions_;
   }
   wire::Write(os, kControllerMagic);
   wire::Write(os, kControllerVersion);
-  {
-    std::lock_guard<std::mutex> lock(policy_mutex_);
-    policy_.SaveState(os);
-  }
+  policy_.SaveState(os);
   wire::Write(os, static_cast<uint32_t>(pending.size()));
   for (const FreezeDecision& d : pending) {
     wire::Write(os, static_cast<uint8_t>(d.kind == FreezeDecision::Kind::kFreezeUpTo));
     wire::Write(os, static_cast<int32_t>(d.stage));
     wire::Write(os, d.iter);
   }
-  {
-    std::lock_guard<std::mutex> lock(reference_mutex_);
-    wire::Write(os, static_cast<int64_t>(evals_since_refresh_));
-  }
+  wire::Write(os, static_cast<int64_t>(evals_since_refresh_));
   wire::Write(os, evals_done_.load());
   wire::Write(os, static_cast<uint8_t>(wants_snapshot_.load() ? 1 : 0));
-  {
-    std::lock_guard<std::mutex> lock(history_mutex_);
-    wire::Write(os, static_cast<uint64_t>(history_.size()));
-    for (const PlasticityRecord& r : history_) {
-      wire::Write(os, r.iter);
-      wire::Write(os, static_cast<int32_t>(r.stage));
-      wire::Write(os, r.raw);
-    }
-    wire::Write(os, eval_seconds_);
+  wire::Write(os, static_cast<uint64_t>(history_.size()));
+  for (const PlasticityRecord& r : history_) {
+    wire::Write(os, r.iter);
+    wire::Write(os, static_cast<int32_t>(r.stage));
+    wire::Write(os, r.raw);
   }
-  std::lock_guard<std::mutex> ref_lock(reference_mutex_);
+  wire::Write(os, eval_seconds_);
   const bool has_ref = has_reference_.load() && ref_snapshot_ != nullptr;
   wire::Write(os, static_cast<uint8_t>(has_ref ? 1 : 0));
   if (has_ref) {
@@ -215,11 +209,8 @@ bool EgeriaController::RestoreState(
     EGERIA_LOG(kError) << "controller state: bad header";
     return false;
   }
-  {
-    std::lock_guard<std::mutex> lock(policy_mutex_);
-    if (!policy_.LoadState(is)) {
-      return false;
-    }
+  if (!policy_.LoadState(is)) {
+    return false;
   }
   uint32_t pending_count = 0;
   if (!wire::Read(is, pending_count) || pending_count > 1024) {
@@ -313,78 +304,51 @@ bool EgeriaController::RestoreState(
     BuildReference(std::move(model));
     size_t idx = 0;
     bool calib_ok = true;
-    {
-      std::lock_guard<std::mutex> lock(reference_mutex_);
-      ForEachQuantModule(*reference_, [&](auto* q) {
-        if (idx < calib.size()) {
-          q->RestoreCalibration(calib[idx]);
-        } else {
-          calib_ok = false;
-        }
-        ++idx;
-      });
-    }
+    ForEachQuantModule(*reference_, [&](auto* q) {
+      if (idx < calib.size()) {
+        q->RestoreCalibration(calib[idx]);
+      } else {
+        calib_ok = false;
+      }
+      ++idx;
+    });
     if (!calib_ok || idx != calib.size()) {
       EGERIA_LOG(kError) << "controller state: calibration record count mismatch ("
                          << calib.size() << " saved, " << idx << " modules)";
       return false;
     }
   }
-  {
-    // BuildReference reset the refresh counter; the saved values win.
-    std::lock_guard<std::mutex> lock(reference_mutex_);
-    evals_since_refresh_ = evals_since_refresh;
-  }
+  // BuildReference reset the refresh counter; the saved values win.
+  evals_since_refresh_ = evals_since_refresh;
   evals_done_.store(evals_done);
   wants_snapshot_.store(wants_snapshot != 0);
-  for (const FreezeDecision& d : pending) {
-    decision_queue_.TryPush(d);
-  }
-  {
-    std::lock_guard<std::mutex> lock(history_mutex_);
-    history_ = std::move(history);
-    eval_seconds_ = eval_seconds;
-  }
+  history_ = std::move(history);
+  eval_seconds_ = eval_seconds;
+  std::lock_guard<std::mutex> lock(mutex_);
+  decisions_ = std::move(pending);
   return true;
 }
 
-void EgeriaController::ProcessEval(EvalRequest& req) {
+std::optional<FreezeDecision> EgeriaController::ProcessEval(const EvalRequest& req) {
+  if (reference_ == nullptr) {
+    return std::nullopt;  // No snapshot submitted yet; drop this periodic sample.
+  }
   WallTimer timer;
-  Tensor a_ref;
-  {
-    std::lock_guard<std::mutex> lock(reference_mutex_);
-    if (reference_ == nullptr) {
-      return;  // Reference still being generated; drop this periodic sample.
-    }
-    // The controller's own forward pass plays the ROQ role (Fig. 6): A_R at
-    // the same boundary, elicited by the same mini-batch.
-    reference_->SetBatch(req.batch);
-    a_ref = reference_->ForwardPrefix(req.stage, req.batch.input);
-  }
+  // The controller's own forward pass plays the ROQ role (Fig. 6): A_R at
+  // the same boundary, elicited by the same mini-batch.
+  reference_->SetBatch(req.batch);
+  const Tensor a_ref = reference_->ForwardPrefix(req.stage, req.batch.input);
   const double plasticity = SpLoss(req.train_act, a_ref);  // Equation 1.
-
-  std::optional<FreezeDecision> decision;
-  {
-    std::lock_guard<std::mutex> lock(policy_mutex_);
-    decision = policy_.OnPlasticity(req.stage, plasticity, req.lr, req.iter);
-  }
-  if (decision) {
-    decision_queue_.TryPush(*decision);
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(history_mutex_);
-    history_.push_back({req.iter, req.stage, plasticity});
-    eval_seconds_ += timer.ElapsedSeconds();
-  }
+  std::optional<FreezeDecision> decision =
+      policy_.OnPlasticity(req.stage, plasticity, req.lr, req.iter);
+  history_.push_back({req.iter, req.stage, plasticity});
+  eval_seconds_ += timer.ElapsedSeconds();
   evals_done_.fetch_add(1);
-  {
-    std::lock_guard<std::mutex> lock(reference_mutex_);
-    if (++evals_since_refresh_ >= cfg_.ref_update_evals) {
-      evals_since_refresh_ = 0;
-      wants_snapshot_.store(true);
-    }
+  if (++evals_since_refresh_ >= cfg_.ref_update_evals) {
+    evals_since_refresh_ = 0;
+    wants_snapshot_.store(true);
   }
+  return decision;
 }
 
 }  // namespace egeria

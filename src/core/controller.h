@@ -3,18 +3,28 @@
 // The controller owns the reference model's life cycle (generation by quantizing
 // training snapshots, periodic refresh), runs reference forward passes, computes
 // plasticity (SP loss between the worker's hooked activation and the reference's),
-// and drives the freezing policy. In async mode it runs on its own thread — the
-// paper's CPU-side, non-blocking evaluation — fed through SPSC queues:
-//   IQ+TOQ  -> EvalRequest { batch, A_T at frontier, stage, lr, iter }
-//   ROQ     -> computed internally (A_R from the reference forward)
-//   DQ      -> FreezeDecision back to the worker
-// The worker never blocks: submissions are try-push (a dropped evaluation is just a
-// skipped periodic sample), and decisions are drained opportunistically each
-// iteration. Synchronous mode runs the same code inline for deterministic tests.
+// and drives the freezing policy. It always runs on its own thread — the paper's
+// CPU-side evaluation, off the worker's path:
+//   SubmitSnapshot -> the thread quantizes the snapshot into the reference
+//   SubmitEval     -> EvalRequest { batch, A_T at frontier, stage, lr, iter };
+//                     the thread computes A_R with the reference forward
+//   DrainDecisions -> FreezeDecisions back to the worker
+// Submissions never block; work is processed in the order the trainer submits
+// it (a snapshot before the evaluation of the same iteration). DrainDecisions,
+// called at the top of every iteration, first waits until everything submitted
+// so far has been processed, so iteration i's evaluation overlaps the rest of
+// iteration i and decides at the top of i + 1 — the same point on every run,
+// which keeps training deterministic and checkpoints bitwise.
+//
+// One thread (the trainer) calls every method. The controller thread touches
+// the reference, the policy and the history only while work is in flight, and
+// every method that reads them waits for the thread to go idle first.
 #ifndef EGERIA_SRC_CORE_CONTROLLER_H_
 #define EGERIA_SRC_CORE_CONTROLLER_H_
 
 #include <atomic>
+#include <condition_variable>
+#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -24,7 +34,6 @@
 
 #include "src/core/config.h"
 #include "src/core/freezing_policy.h"
-#include "src/core/spsc_queue.h"
 #include "src/data/batch.h"
 #include "src/models/chain_model.h"
 
@@ -63,20 +72,23 @@ class EgeriaController {
   // ref_update_evals evaluations have elapsed since the last refresh).
   bool WantsSnapshot() const { return wants_snapshot_.load(); }
 
-  // Non-blocking; false if the controller is congested (the evaluation is skipped).
-  bool SubmitEval(EvalRequest req);
+  // Queues one plasticity evaluation; never blocks.
+  void SubmitEval(EvalRequest req);
 
-  // Decisions produced since the last drain (freeze + unfreeze).
+  // Blocks until every snapshot and evaluation submitted so far has been
+  // processed.
+  void WaitIdle() const;
+
+  // Waits (WaitIdle), then returns the decisions produced since the last drain
+  // (freeze + unfreeze).
   std::vector<FreezeDecision> DrainDecisions();
 
   // LR-based unfreeze check; cheap, called by the worker every iteration.
   std::optional<FreezeDecision> OnLr(float lr, int64_t iter);
 
-  // Synchronous mode only: process all queued snapshots/evals inline.
-  void RunPendingSync();
-
   bool HasReference() const { return has_reference_.load(); }
   int64_t EvalsDone() const { return evals_done_.load(); }
+  // These three wait (WaitIdle) before reading.
   double EvalSeconds() const;
   std::vector<PlasticityRecord> PlasticityHistory() const;
   int Frontier() const;
@@ -91,14 +103,11 @@ class EgeriaController {
   // from (quantization is deterministic, so the reference is rebuilt
   // bit-identically on restore).
   //
-  // Synchronous controllers (async_controller=false) round-trip bitwise: the
-  // save first runs the pending snapshot/eval work inline — exactly the
-  // computation the next iteration's RunPendingSync would have done, moved
-  // across an iteration boundary where nothing else computes — then persists
-  // the resulting decisions (re-enqueueing them, so a save not followed by a
-  // crash changes nothing). In async mode queued evaluations are not captured
-  // (dropping an eval is legal by design, but bitwise resume is then not
-  // guaranteed). Call RestoreState before submitting any work.
+  // The state round-trips bitwise: the save first waits (WaitIdle) for the
+  // snapshot and evaluation in flight — exactly the work the next iteration's
+  // DrainDecisions would have waited for — then persists the decisions it
+  // produced without draining them, so a save not followed by a crash changes
+  // nothing. Call RestoreState before submitting any work.
   void SaveState(std::ostream& os);
   // `make_snapshot` must produce a model structurally identical to the
   // snapshots the trainer submits (a float CloneForInference of the training
@@ -110,21 +119,26 @@ class EgeriaController {
  private:
   void ControllerLoop();
   void BuildReference(std::unique_ptr<ChainModel> snapshot);
-  void ProcessEval(EvalRequest& req);
+  std::optional<FreezeDecision> ProcessEval(const EvalRequest& req);
 
   EgeriaConfig cfg_;
   std::unique_ptr<InferenceFactory> factory_;
 
-  mutable std::mutex policy_mutex_;
-  FreezingPolicy policy_;
+  // The hand-off between the trainer and the controller thread: submitted
+  // work, the count of submitted items not yet processed, and the decisions
+  // not yet drained. cv_ wakes the thread on new work and the trainer when
+  // in_flight_ drops to zero.
+  mutable std::mutex mutex_;
+  mutable std::condition_variable cv_;
+  std::deque<std::unique_ptr<ChainModel>> snapshots_;
+  std::deque<EvalRequest> evals_;
+  int in_flight_ = 0;
+  std::vector<FreezeDecision> decisions_;
+  bool stopping_ = false;
 
-  // Serializes the controller thread's reference lifecycle (BuildReference
-  // reassigns reference_/ref_snapshot_, ProcessEval mutates observer state and
-  // the refresh counter) against SaveState walking those structures from the
-  // training thread. Uncontended in synchronous mode; in async mode it is
-  // what makes a mid-training checkpoint safe (a queued eval may still be
-  // dropped — async saves are best-effort, not bitwise).
-  mutable std::mutex reference_mutex_;
+  // State below is the controller thread's while work is in flight, and the
+  // trainer's once WaitIdle has returned.
+  FreezingPolicy policy_;
   std::unique_ptr<ChainModel> reference_;
   // The float snapshot reference_ was quantized from, retained so checkpoints
   // can persist (and deterministically rebuild) the reference.
@@ -134,17 +148,10 @@ class EgeriaController {
   std::atomic<int64_t> evals_done_{0};
   std::atomic<double> last_quantize_seconds_{0.0};
   int64_t evals_since_refresh_ = 0;
-
-  SpscQueue<EvalRequest> eval_queue_;
-  SpscQueue<std::unique_ptr<ChainModel>> snapshot_queue_;
-  SpscQueue<FreezeDecision> decision_queue_;
-
-  mutable std::mutex history_mutex_;
   std::vector<PlasticityRecord> history_;
   double eval_seconds_ = 0.0;
 
-  std::atomic<bool> stopping_{false};
-  std::thread thread_;  // joinable only in async mode
+  std::thread thread_;
 };
 
 }  // namespace egeria

@@ -139,21 +139,10 @@ uint64_t Trainer::CacheGeneration() const {
 }
 
 void Trainer::SetFrontier(int frontier) {
-  const Precision prefix = cfg_.egeria.frozen_prefix_precision;
-  bool sub_applied = frontier > 0 && prefix != Precision::kFloat32;
   for (int i = 0; i < model_.NumStages(); ++i) {
-    const bool frozen = i < frontier;
-    model_.SetStageFrozen(i, frozen);
-    if (!frozen) {
-      model_.SetStageForwardPrecision(i, Precision::kFloat32);
-    } else if (prefix != Precision::kFloat32) {
-      // Frozen stages never see backward or updates again until an unfreeze,
-      // so their forwards can run through the reduced-precision kernels.
-      sub_applied = model_.SetStageForwardPrecision(i, prefix) && sub_applied;
-    }
+    model_.SetStageFrozen(i, i < frontier);
   }
   frontier_ = frontier;
-  prefix_precision_ = sub_applied ? prefix : Precision::kFloat32;
   frozen_prefix_hash_ = FrozenPrefixHash();
 }
 
@@ -232,9 +221,8 @@ void Trainer::MaybeSubmitEval(const Batch& batch, float lr, int64_t iter) {
   req.stage = frontier_;
   req.lr = lr;
   req.iter = iter;
-  if (controller_->SubmitEval(std::move(req))) {
-    ++result_.evals_submitted;
-  }
+  controller_->SubmitEval(std::move(req));
+  ++result_.evals_submitted;
 }
 
 void Trainer::UpdateBootstrap(double loss, int64_t iter) {
@@ -557,6 +545,8 @@ TransportStatus Trainer::TrainEpoch(int epoch, int64_t first_step, EpochStats* e
   static obs::Histogram& bp_hist = obs::GetHistogram("trainer.bp_s");
   static obs::Histogram& cache_hist = obs::GetHistogram("trainer.cache_s");
   static obs::Histogram& frozen_fp_hist = obs::GetHistogram("trainer.frozen_fp_s");
+  static obs::Histogram& controller_wait_hist =
+      obs::GetHistogram("trainer.controller_wait_s");
   static obs::Counter& fp_skip_counter = obs::GetCounter("cache.fp_skips");
   static obs::Counter& decline_counter = obs::GetCounter("cache.declined_iters");
   static obs::Counter& iter_counter = obs::GetCounter("trainer.iterations");
@@ -588,12 +578,13 @@ TransportStatus Trainer::TrainEpoch(int epoch, int64_t first_step, EpochStats* e
     }
     const float lr = cfg_.lr_schedule->LrAt(iter);
 
-    // --- Decision intake (Egeria, rank 0) ---
+    // --- Decision intake (Egeria, rank 0): the previous iteration's
+    // evaluation decides here, so the drain waits for the controller thread ---
     if (controller_ != nullptr) {
-      if (!cfg_.egeria.async_controller) {
-        controller_->RunPendingSync();
-      }
-      for (const FreezeDecision& d : controller_->DrainDecisions()) {
+      obs::ScopedPhase wait_phase("trainer", "controller_wait", &controller_wait_hist);
+      const std::vector<FreezeDecision> decisions = controller_->DrainDecisions();
+      wait_phase.Stop();
+      for (const FreezeDecision& d : decisions) {
         ApplyDecision(d);
       }
       if (auto d = controller_->OnLr(lr, iter)) {
@@ -639,7 +630,7 @@ TransportStatus Trainer::TrainEpoch(int epoch, int64_t first_step, EpochStats* e
       {
         obs::ScopedPhase cache_phase("cache", "lookup", &cache_hist,
                                      &result_.cache_seconds);
-        cache_->SetKey(frontier_ - 1, prefix_precision_, CacheGeneration());
+        cache_->SetKey(frontier_ - 1, CacheGeneration());
         if (cache_->HasAll(batch.sample_ids)) {
           cached = cache_->FetchBatch(batch.sample_ids);
         }
@@ -694,7 +685,7 @@ TransportStatus Trainer::TrainEpoch(int epoch, int64_t first_step, EpochStats* e
     epoch_loss += loss.loss;
     ++epoch_batches;
 
-    // --- Plasticity evaluation submission (async, non-blocking) ---
+    // --- Plasticity evaluation submission (non-blocking) ---
     // Valid on cache-skipped iterations too: ForwardFrom(frontier, cached) still
     // computes the frontier stage, so StageOutput(frontier) is a genuine A_T.
     MaybeSubmitEval(batch, lr, iter);

@@ -4,9 +4,9 @@
 // training-loss change rate and enters the knowledge-guided stage once it falls
 // below the configured threshold (the "critical period" guard). (2) knowledge-guided
 // stage — the controller holds a quantized reference model; every n iterations the
-// worker submits the mini-batch and the frontier activation for asynchronous
-// plasticity evaluation; freeze/unfreeze decisions are drained and applied at
-// the top of the next iteration. Frozen stages are excluded from backward
+// worker submits the mini-batch and the frontier activation for plasticity
+// evaluation on the controller thread; at the top of the next iteration the
+// trainer waits for it and applies its freeze/unfreeze decision. Frozen stages are excluded from backward
 // computation, parameter updates and gradient synchronization, and — when the
 // cache is enabled — from forward computation via cached boundary activations.
 //
@@ -71,9 +71,8 @@ struct TrainConfig {
   // — if the directory already holds a complete checkpoint — resumes from the
   // latest one instead of starting over. The saved world size need not match
   // the resuming one (elastic restart: shards are re-folded). Bitwise-resume
-  // contract: with a deterministic configuration (synchronous controller), a
-  // run checkpointed at iteration k and resumed at the same world size
-  // produces final weights bit-identical to the uninterrupted run. Timing
+  // contract: a run checkpointed at iteration k and resumed at the same world
+  // size produces final weights bit-identical to the uninterrupted run. Timing
   // fields of TrainResult (TTA, per-epoch seconds) cover only the resumed
   // segment.
   CheckpointOptions ckpt;
@@ -215,8 +214,7 @@ class Trainer {
   // *iter is the last iteration run (iterations are numbered from 1).
   TransportStatus TrainEpoch(int epoch, int64_t first_step, EpochStats* es,
                              int64_t* iter);
-  // Freezes stages [0, frontier) and thaws the rest, with the frozen
-  // prefix's forward precision substitution; no events, no observer.
+  // Freezes stages [0, frontier) and thaws the rest; no events, no observer.
   void SetFrontier(int frontier);
   void ApplyDecision(const FreezeDecision& d);
   // Moves this rank to `frontier` (rank 0's, from the exchange).
@@ -268,11 +266,6 @@ class Trainer {
   uint64_t frozen_prefix_hash_ = 0;
   uint64_t aug_signature_ = 0;
   bool store_cacheable_ = true;
-  // Precision the frozen prefix's forward ACTUALLY runs at. Differs from
-  // cfg_.egeria.frozen_prefix_precision when the model rejects forward
-  // substitution (e.g. the encoder-decoder Transformer) — the cache key must
-  // reflect the bits that were really computed.
-  Precision prefix_precision_ = Precision::kFloat32;
   bool knowledge_stage_ = false;
   double bootstrap_prev_avg_ = -1.0;
   double bootstrap_window_sum_ = 0.0;

@@ -106,9 +106,9 @@ TransportStatus RingSync::Step(const std::vector<Parameter*>& active, float lr,
                                double* opt_seconds) {
   // ZeRO-1 round: ring reduce-scatter the gradients, the owner applies the
   // update on its shard, ring all-gather the updated weights. Both
-  // collectives record into trainer.comm_wait_s, which the heartbeat stats
-  // frames ship to rank 0 for online straggler detection: a rank that never
-  // waits here is the one everyone else is waiting FOR.
+  // collectives record into trainer.comm_wait_s, the input of
+  // `egeria_trace --diagnose`'s straggler verdict: a rank that never waits
+  // here is the one everyone else is waiting FOR.
   static obs::Histogram& comm_wait_hist = obs::GetHistogram("trainer.comm_wait_s");
   static obs::Histogram& opt_hist = obs::GetHistogram("trainer.opt_s");
   FlatParamView grads(active, FlatParamView::Field::kGrad);

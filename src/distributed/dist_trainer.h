@@ -18,8 +18,8 @@
 // freezes and unfreezes alike (both drop a stage's momentum when it freezes):
 //   - RingSync (default): ZeRO-1. Ring reduce-scatter, the owner's step on its
 //     contract chunk of the flattened active space, ring all-gather; both
-//     collectives are timed as the rank's comm_wait phase (the heartbeat
-//     straggler detector's signal). A frontier move re-partitions the shards,
+//     collectives are timed as the rank's comm_wait phase (the signal of
+//     `egeria_trace --diagnose`'s straggler verdict). A frontier move re-partitions the shards,
 //     so frozen parameters leave the ring payload and per-rank optimizer memory.
 //   - StarSync: the sequential reference — rank 0 folds every rank's gradients
 //     (GradientAllReducer), then every rank steps a replicated optimizer.

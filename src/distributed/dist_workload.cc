@@ -11,11 +11,10 @@ namespace egeria {
 
 namespace {
 
-// Egeria controller settings every dist workload shares: deterministic
-// (synchronous) controller, short eval cadence so small runs still freeze.
+// Egeria controller settings every dist workload shares: short eval cadence
+// so small runs still freeze.
 void PresetEgeria(DistTrainConfig& cfg) {
   cfg.enable_egeria = false;
-  cfg.egeria.async_controller = false;
   cfg.egeria.eval_interval_n = 4;
   cfg.egeria.window_w = 3;
   cfg.egeria.tolerance_coef = 0.4;

@@ -15,7 +15,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <string>
@@ -54,42 +53,10 @@ constexpr int kAbortPollMs = 50;
 
 // Heartbeat records: fixed 13 bytes, [u8 type][u32 a][u32 b][u32 c] LE.
 // PING carries (ops_started, ops_completed, 0); BYE and ABORT ignore a/b/c.
-// STATS piggybacks the obs layer's per-phase histograms on the same link:
-// (phase_id, cumulative milliseconds, observation count), one record per
-// phase per beat — the low-frequency control-plane feed rank 0's online
-// straggler detector folds (see HbMonitorLoop).
 constexpr uint8_t kHbPing = 1;
 constexpr uint8_t kHbBye = 2;
 constexpr uint8_t kHbAbort = 3;
-constexpr uint8_t kHbStats = 4;
 constexpr size_t kHbRecordBytes = 13;
-
-// Phase ids for kHbStats, matching the trainer's trainer.*_s histograms.
-constexpr int kNumHbStatPhases = 5;
-constexpr const char* kHbStatPhaseName[kNumHbStatPhases] = {
-    "data", "fp", "bp", "opt", "comm_wait"};
-constexpr const char* kHbStatPhaseMetric[kNumHbStatPhases] = {
-    "trainer.data_s", "trainer.fp_s", "trainer.bp_s", "trainer.opt_s",
-    "trainer.comm_wait_s"};
-
-// Straggler detection knobs. A phase only qualifies once its slowest rank
-// has accumulated kStragglerMinSeconds (tiny absolute skews are noise), the
-// median divisor is floored so a near-zero median cannot manufacture an
-// infinite skew, and the default max/median threshold can be overridden via
-// EGERIA_STRAGGLER_SKEW.
-constexpr double kStragglerMinSeconds = 0.2;
-constexpr double kStragglerMedianFloorS = 0.05;
-constexpr double kStragglerDefaultSkew = 4.0;
-
-double StragglerSkewThreshold() {
-  if (const char* env = std::getenv("EGERIA_STRAGGLER_SKEW")) {
-    const double v = std::atof(env);
-    if (v > 0.0) {
-      return v;
-    }
-  }
-  return kStragglerDefaultSkew;
-}
 
 void EncodeU32(uint32_t v, uint8_t* out) {
   out[0] = static_cast<uint8_t>(v & 0xFFU);
@@ -328,26 +295,6 @@ uint16_t PollRendezvousFile(const std::string& path, Deadline deadline) {
   }
 }
 
-double IoTimeoutSeconds(const TcpTransportOptions& options) {
-  if (const char* env = std::getenv("EGERIA_TCP_TIMEOUT_S")) {
-    const double v = std::atof(env);
-    if (v > 0.0) {
-      return v;
-    }
-  }
-  return options.io_timeout_s;
-}
-
-double HeartbeatSeconds(const TcpTransportOptions& options) {
-  if (const char* env = std::getenv("EGERIA_HB_INTERVAL_S")) {
-    const double v = std::atof(env);
-    if (v >= 0.0 && env[0] != '\0') {
-      return v;
-    }
-  }
-  return options.heartbeat_interval_s;
-}
-
 void EncodeHbRecord(uint8_t type, uint32_t a, uint32_t b, uint32_t c,
                     uint8_t* out) {
   out[0] = type;
@@ -367,8 +314,8 @@ class TcpTransport : public Transport {
   explicit TcpTransport(const TcpTransportOptions& options)
       : rank_(options.rank),
         world_(options.world),
-        io_timeout_s_(IoTimeoutSeconds(options)),
-        hb_interval_s_(HeartbeatSeconds(options)),
+        io_timeout_s_(options.io_timeout_s),
+        hb_interval_s_(options.heartbeat_interval_s),
         faults_(options.faults) {
     EGERIA_CHECK(world_ >= 1 && rank_ >= 0 && rank_ < world_);
     if (world_ == 1) {
@@ -1096,23 +1043,6 @@ class TcpTransport : public Transport {
                   ": heartbeat link to rank 0 lost (rank 0 died?)"));
           return;
         }
-        // Piggyback the per-phase cumulative histograms (65 bytes/beat) so
-        // rank 0 can fold cross-rank skew online. Advisory: a failed send is
-        // ignored — the next PING is what detects a dead link.
-        for (int phase = 0; phase < kNumHbStatPhases; ++phase) {
-          const double sum_s = obs::HistogramSum(kHbStatPhaseMetric[phase]);
-          const int64_t n = obs::HistogramCount(kHbStatPhaseMetric[phase]);
-          const double ms = sum_s * 1000.0;
-          const uint32_t cum_ms =
-              ms >= 4294967295.0 ? 4294967295U
-                                 : static_cast<uint32_t>(ms < 0.0 ? 0.0 : ms);
-          const uint32_t count =
-              n > 4294967295LL ? 4294967295U : static_cast<uint32_t>(n);
-          if (!SendHbRecord(hb_fd_, kHbStats, static_cast<uint32_t>(phase),
-                            cum_ms, count)) {
-            break;
-          }
-        }
         next_beat = Clock::now() + beat_period;
       }
       struct pollfd p = {hb_fd_, POLLIN, 0};
@@ -1169,7 +1099,6 @@ class TcpTransport : public Transport {
       std::vector<uint8_t> buf;
       uint32_t started = 0;
       uint32_t completed = 0;
-      uint32_t phase_ms[kNumHbStatPhases] = {};  // latest kHbStats fold input
       Clock::time_point last_beat;
       Clock::time_point started_changed;
       bool bye = false;
@@ -1187,12 +1116,6 @@ class TcpTransport : public Transport {
       p.last_beat = t0;
       p.started_changed = t0;
     }
-    // Online straggler detection state: last skew emitted per phase, so a
-    // persistent straggler re-announces only as its skew keeps growing
-    // (>1.25x) instead of once per tick.
-    const double skew_threshold = StragglerSkewThreshold();
-    double emitted_skew[kNumHbStatPhases] = {};
-
     auto abort_world = [&](const std::string& reason) {
       const TransportStatus st = TransportStatus::Error(
           TransportError::kAborted,
@@ -1246,11 +1169,6 @@ class TcpTransport : public Transport {
                 p.started_changed = now;
               }
               p.last_beat = now;
-            } else if (type == kHbStats) {
-              const uint32_t phase = DecodeU32(p.buf.data() + 1);
-              if (phase < static_cast<uint32_t>(kNumHbStatPhases)) {
-                p.phase_ms[phase] = DecodeU32(p.buf.data() + 5);
-              }
             } else if (type == kHbBye) {
               p.bye = true;
             }
@@ -1272,61 +1190,6 @@ class TcpTransport : public Transport {
           self.started_changed = now;
         }
         self.last_beat = now;
-        // Rank 0 reads its own phase histograms straight from the registry —
-        // same fold inputs the other ranks ship as kHbStats records.
-        for (int phase = 0; phase < kNumHbStatPhases; ++phase) {
-          const double ms =
-              obs::HistogramSum(kHbStatPhaseMetric[phase]) * 1000.0;
-          self.phase_ms[phase] =
-              ms >= 4294967295.0 ? 4294967295U
-                                 : static_cast<uint32_t>(ms < 0.0 ? 0.0 : ms);
-        }
-      }
-      // Cross-rank straggler fold: for every phase, skew = slowest rank over
-      // the (lower-)median rank. data/fp/bp/opt name the argmax rank (it IS
-      // slow); comm_wait inverts — the rank waiting LEAST is the one the
-      // world is waiting for, so the argmin rank is named. Cheap enough to
-      // run every tick; emission is growth-rate-limited.
-      if (world_ > 1) {
-        for (int phase = 0; phase < kNumHbStatPhases; ++phase) {
-          std::vector<double> secs(static_cast<size_t>(world_));
-          for (int r = 0; r < world_; ++r) {
-            secs[static_cast<size_t>(r)] =
-                static_cast<double>(
-                    peers[static_cast<size_t>(r)].phase_ms[phase]) *
-                1e-3;
-          }
-          std::vector<double> sorted = secs;
-          std::sort(sorted.begin(), sorted.end());
-          const double max_s = sorted.back();
-          if (max_s < kStragglerMinSeconds) {
-            continue;
-          }
-          const double median =
-              sorted[static_cast<size_t>((world_ - 1) / 2)];
-          const double skew =
-              max_s / std::max(median, kStragglerMedianFloorS);
-          if (skew < skew_threshold || skew < emitted_skew[phase] * 1.25) {
-            continue;
-          }
-          emitted_skew[phase] = skew;
-          const bool invert = phase == kNumHbStatPhases - 1;  // comm_wait
-          int straggler = 0;
-          for (int r = 1; r < world_; ++r) {
-            const double v = secs[static_cast<size_t>(r)];
-            const double best = secs[static_cast<size_t>(straggler)];
-            if (invert ? v < best : v > best) {
-              straggler = r;
-            }
-          }
-          std::printf("EGERIA_STRAGGLER rank=%d phase=%s skew=%.2f\n",
-                      straggler, kHbStatPhaseName[phase], skew);
-          std::fflush(stdout);
-          trace::AddInstantF("obs", "straggler",
-                             "{\"rank\":%d,\"phase\":\"%s\",\"skew\":%.2f}",
-                             straggler, kHbStatPhaseName[phase], skew);
-          obs::GetCounter("obs.stragglers").Add(1);
-        }
       }
       if (AbortRequested()) {
         return;

@@ -64,12 +64,12 @@ struct TcpTransportOptions {
   std::string rendezvous_file;
   // Deadline for the whole rendezvous + ring wiring phase.
   double connect_timeout_s = 30.0;
-  // Per-collective deadline. EGERIA_TCP_TIMEOUT_S overrides when set.
+  // Per-collective deadline.
   double io_timeout_s = 120.0;
   // Heartbeat failure detector period; 0 disables (default — in-process
-  // harnesses and benches don't want extra threads). EGERIA_HB_INTERVAL_S
-  // overrides when set. Every rank of a world MUST agree on whether the
-  // heartbeat is enabled: the setting changes the wiring handshake.
+  // harnesses and benches don't want extra threads). Every rank of a world
+  // MUST agree on whether the heartbeat is enabled: the setting changes the
+  // wiring handshake.
   // egeria_worker enables it by default (--hb-interval).
   double heartbeat_interval_s = 0.0;
   // Fault drills (test-only; fault_injection.h). The plan's armed corrupt,

@@ -53,14 +53,7 @@ StageChainModel::StageChainModel(std::string name,
                                  std::vector<std::unique_ptr<Module>> stages)
     : name_(std::move(name)), stages_(std::move(stages)) {
   EGERIA_CHECK_MSG(!stages_.empty(), name_ + ": empty chain");
-  forward_subs_.resize(stages_.size());
-  forward_sub_precision_.resize(stages_.size(), Precision::kFloat32);
   stage_outputs_.resize(stages_.size());
-}
-
-Module* StageChainModel::ForwardStage(int i) const {
-  Module* sub = forward_subs_[static_cast<size_t>(i)].get();
-  return sub != nullptr ? sub : stages_[static_cast<size_t>(i)].get();
 }
 
 std::string StageChainModel::StageName(int i) const {
@@ -80,7 +73,7 @@ Tensor StageChainModel::ForwardFrom(int start, const Tensor& input) {
   last_start_ = start;
   Tensor x = input;
   for (int i = start; i < NumStages(); ++i) {
-    x = ForwardStage(i)->Forward(x);
+    x = stages_[static_cast<size_t>(i)]->Forward(x);
     stage_outputs_[static_cast<size_t>(i)] = x;
   }
   return x;
@@ -91,8 +84,6 @@ void StageChainModel::BackwardTo(int stop, const Tensor& grad_output) {
   EGERIA_CHECK_MSG(stop >= last_start_, name_ + ": BackwardTo below last ForwardFrom start");
   Tensor g = grad_output;
   for (int i = NumStages() - 1; i >= stop; --i) {
-    EGERIA_CHECK_MSG(forward_subs_[static_cast<size_t>(i)] == nullptr,
-                     name_ + ": backward through a reduced-precision frozen stage");
     g = stages_[static_cast<size_t>(i)]->Backward(g);
     NotifyStageBackward(i);
   }
@@ -107,7 +98,7 @@ Tensor StageChainModel::ForwardPrefix(int end_stage, const Tensor& input) {
   EGERIA_CHECK(end_stage >= 0 && end_stage < NumStages());
   Tensor x = input;
   for (int i = 0; i <= end_stage; ++i) {
-    x = ForwardStage(i)->Forward(x);
+    x = stages_[static_cast<size_t>(i)]->Forward(x);
     stage_outputs_[static_cast<size_t>(i)] = x;
   }
   return x;
@@ -115,22 +106,6 @@ Tensor StageChainModel::ForwardPrefix(int end_stage, const Tensor& input) {
 
 void StageChainModel::SetStageFrozen(int i, bool frozen) {
   stages_[static_cast<size_t>(i)]->SetFrozen(frozen);
-}
-
-bool StageChainModel::SetStageForwardPrecision(int i, Precision p) {
-  EGERIA_CHECK(i >= 0 && i < NumStages());
-  const auto si = static_cast<size_t>(i);
-  if (p == Precision::kFloat32) {
-    forward_subs_[si].reset();
-    forward_sub_precision_[si] = Precision::kFloat32;
-    return true;
-  }
-  if (forward_subs_[si] != nullptr && forward_sub_precision_[si] == p) {
-    return true;  // Frozen parameters are fixed; the existing clone is current.
-  }
-  forward_subs_[si] = CloneAtPrecision(*stages_[si], p);
-  forward_sub_precision_[si] = p;
-  return true;
 }
 
 void StageChainModel::SetTraining(bool training) {
@@ -163,11 +138,6 @@ void StageChainModel::CopyStateFrom(ChainModel& other) {
   EGERIA_CHECK(src->NumStages() == NumStages());
   for (int i = 0; i < NumStages(); ++i) {
     stages_[static_cast<size_t>(i)]->CopyStateFrom(*src->stages_[static_cast<size_t>(i)]);
-    // Any installed forward substitute now shadows stale parameters; re-clone.
-    if (forward_subs_[static_cast<size_t>(i)] != nullptr) {
-      forward_subs_[static_cast<size_t>(i)] = CloneAtPrecision(
-          *stages_[static_cast<size_t>(i)], forward_sub_precision_[static_cast<size_t>(i)]);
-    }
   }
 }
 

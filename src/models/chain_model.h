@@ -101,12 +101,8 @@ class ChainModel {
   virtual void SetTraining(bool training) = 0;
   virtual void ZeroGrad() = 0;
 
-  // Substitutes stage i's *forward* with a reduced-precision inference clone
-  // (paper-consistent with the quantized reference model: a frozen stage's
-  // forward is input-deterministic and its parameters fixed, so it can run at
-  // fp16/int8 bandwidth). kFloat32 restores the training module. Returns false
-  // when the model does not support substitution (the default); callers fall
-  // back to full-precision forwards.
+  // Nothing in the library calls this. The virtual stays only because
+  // perfbench/tracing.h overrides it; delete both together.
   virtual bool SetStageForwardPrecision(int i, Precision p) {
     (void)i;
     return p == Precision::kFloat32;
@@ -152,7 +148,6 @@ class StageChainModel : public ChainModel {
   void SetStageFrozen(int i, bool frozen) override;
   void SetTraining(bool training) override;
   void ZeroGrad() override;
-  bool SetStageForwardPrecision(int i, Precision p) override;
 
   std::unique_ptr<ChainModel> CloneForInference(const InferenceFactory& factory) const override;
   void CopyStateFrom(ChainModel& other) override;
@@ -161,15 +156,8 @@ class StageChainModel : public ChainModel {
   Module* stage(int i) { return stages_[static_cast<size_t>(i)].get(); }
 
  private:
-  // The module that runs stage i's forward: the substitute when one is
-  // installed, the training module otherwise.
-  Module* ForwardStage(int i) const;
-
   std::string name_;
   std::vector<std::unique_ptr<Module>> stages_;
-  // Reduced-precision forward substitutes, indexed by stage; null = none.
-  std::vector<std::unique_ptr<Module>> forward_subs_;
-  std::vector<Precision> forward_sub_precision_;
   std::vector<Tensor> stage_outputs_;
   int last_start_ = 0;
 };

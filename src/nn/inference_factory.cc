@@ -1,15 +1,10 @@
 // Default (float32) InferenceFactory: produces plain deep copies of trainable layers.
 // The int8 / fp16 factories in src/quant override these hooks.
-//
-// Also home of CloneAtPrecision, the frozen-layer forward substitution hook:
-// it maps a precision tag to the matching factory so frozen-prefix stages (and
-// reference models) run through the mixed-precision packed GEMM kernels.
 #include <memory>
 
 #include "src/nn/conv2d.h"
 #include "src/nn/linear.h"
 #include "src/nn/module.h"
-#include "src/quant/quantized_modules.h"
 #include "src/util/rng.h"
 
 namespace egeria {
@@ -48,13 +43,6 @@ std::unique_ptr<Module> InferenceFactory::MakeDepthwiseConv2d(
   clone->mutable_weight().value = src.weight().value.Clone();
   clone->SetTraining(false);
   return clone;
-}
-
-std::unique_ptr<Module> CloneAtPrecision(const Module& stage, Precision p) {
-  // Dynamic quantization mode: per-batch activation scales need no observer
-  // calibration, which a frozen stage swapped mid-training could not get.
-  const auto factory = MakeInferenceFactory(p, QuantMode::kDynamic);
-  return stage.CloneForInference(*factory);
 }
 
 }  // namespace egeria

@@ -124,15 +124,6 @@ class Module {
 // Copies values between identically-shaped parameter lists.
 void CopyParamValues(const std::vector<Parameter*>& dst, const std::vector<Parameter*>& src);
 
-// Builds an inference-only deep copy of `stage` at the given precision: fp32
-// clones plainly; fp16/int8 substitute the reduced-precision kernels from
-// src/quant (int8 with dynamic activation scales, so no calibration pass is
-// required). Used for frozen-prefix forward substitution: a frozen stage's
-// forward is input-deterministic (dropout off, BatchNorm on running stats) and
-// its parameters no longer change, so it can run through the same
-// half/quarter-bandwidth kernels as the reference model.
-std::unique_ptr<Module> CloneAtPrecision(const Module& stage, Precision p);
-
 }  // namespace egeria
 
 #endif  // EGERIA_SRC_NN_MODULE_H_

@@ -1,13 +1,12 @@
-// Activation cache (store/fetch/prefetch/invalidation), SPSC queue behaviour, and
-// controller end-to-end decision flow in synchronous mode.
+// Activation cache (store/fetch/prefetch/invalidation) and the controller's
+// end-to-end decision flow through its thread.
 #include <gtest/gtest.h>
 
-#include <thread>
+#include <sstream>
 
 #include "src/core/activation_cache.h"
 #include "src/core/controller.h"
 #include "src/core/module_partitioner.h"
-#include "src/core/spsc_queue.h"
 #include "src/models/resnet.h"
 #include "src/util/rng.h"
 
@@ -22,7 +21,7 @@ std::string TempCacheDir(const char* tag) {
 
 TEST(ActivationCache, StoreFetchRoundTrip) {
   ActivationCache cache(TempCacheDir("rt"), /*memory_entries=*/64);
-  cache.SetKey(2, Precision::kFloat32, kGeneration);
+  cache.SetKey(2, kGeneration);
   Rng rng(1);
   Tensor act = Tensor::Randn({4, 3, 2, 2}, rng);
   std::vector<int64_t> ids{10, 20, 30, 40};
@@ -37,7 +36,7 @@ TEST(ActivationCache, StoreFetchRoundTrip) {
 
 TEST(ActivationCache, FetchInDifferentOrderReassembles) {
   ActivationCache cache(TempCacheDir("order"), 64);
-  cache.SetKey(0, Precision::kFloat32, kGeneration);
+  cache.SetKey(0, kGeneration);
   Rng rng(2);
   Tensor act = Tensor::Randn({3, 2}, rng);
   cache.StoreBatch({1, 2, 3}, act);
@@ -50,7 +49,7 @@ TEST(ActivationCache, FetchInDifferentOrderReassembles) {
 
 TEST(ActivationCache, MissingIdReturnsUndefined) {
   ActivationCache cache(TempCacheDir("miss"), 64);
-  cache.SetKey(0, Precision::kFloat32, kGeneration);
+  cache.SetKey(0, kGeneration);
   Rng rng(3);
   cache.StoreBatch({1, 2}, Tensor::Randn({2, 4}, rng));
   EXPECT_FALSE(cache.HasAll({1, 2, 3}));
@@ -61,7 +60,7 @@ TEST(ActivationCache, MissingIdReturnsUndefined) {
 TEST(ActivationCache, MemoryEvictionFallsBackToDisk) {
   // Memory keeps only 2 slices; older entries must still be served from disk.
   ActivationCache cache(TempCacheDir("evict"), /*memory_entries=*/2);
-  cache.SetKey(1, Precision::kFloat32, kGeneration);
+  cache.SetKey(1, kGeneration);
   Rng rng(4);
   Tensor act = Tensor::Randn({5, 3}, rng);
   cache.StoreBatch({1, 2, 3, 4, 5}, act);
@@ -76,19 +75,19 @@ TEST(ActivationCache, MemoryEvictionFallsBackToDisk) {
 
 TEST(ActivationCache, StageChangeInvalidates) {
   ActivationCache cache(TempCacheDir("stage"), 64);
-  cache.SetKey(0, Precision::kFloat32, kGeneration);
+  cache.SetKey(0, kGeneration);
   Rng rng(5);
   cache.StoreBatch({7}, Tensor::Randn({1, 4}, rng));
   ASSERT_TRUE(cache.HasAll({7}));
   // Frontier advanced: the old boundary is useless.
-  cache.SetKey(1, Precision::kFloat32, kGeneration);
+  cache.SetKey(1, kGeneration);
   EXPECT_FALSE(cache.HasAll({7}));
-  cache.SetKey(1, Precision::kFloat32, kGeneration);  // No-op.
+  cache.SetKey(1, kGeneration);  // No-op.
 }
 
 TEST(ActivationCache, ClearDropsEverything) {
   ActivationCache cache(TempCacheDir("clear"), 64);
-  cache.SetKey(3, Precision::kFloat32, kGeneration);
+  cache.SetKey(3, kGeneration);
   Rng rng(6);
   cache.StoreBatch({1, 2}, Tensor::Randn({2, 4}, rng));
   cache.Clear();
@@ -98,7 +97,7 @@ TEST(ActivationCache, ClearDropsEverything) {
 
 TEST(ActivationCache, PrefetchLoadsIntoMemory) {
   ActivationCache cache(TempCacheDir("prefetch"), /*memory_entries=*/2);
-  cache.SetKey(0, Precision::kFloat32, kGeneration);
+  cache.SetKey(0, kGeneration);
   Rng rng(7);
   Tensor act = Tensor::Randn({4, 8}, rng);
   cache.StoreBatch({1, 2, 3, 4}, act);  // Memory holds only {3, 4} afterwards.
@@ -115,46 +114,10 @@ TEST(ActivationCache, PrefetchLoadsIntoMemory) {
 TEST(ActivationCache, DiskBudgetStopsStores) {
   // Budget allows ~1 slice of 4 floats.
   ActivationCache cache(TempCacheDir("budget"), 64, /*max_disk_bytes=*/20);
-  cache.SetKey(0, Precision::kFloat32, kGeneration);
+  cache.SetKey(0, kGeneration);
   Rng rng(8);
   cache.StoreBatch({1, 2, 3}, Tensor::Randn({3, 4}, rng));
   EXPECT_FALSE(cache.HasAll({1, 2, 3}));  // Later stores were dropped.
-}
-
-TEST(SpscQueue, FifoOrderAndCapacity) {
-  SpscQueue<int> q(2);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_FALSE(q.TryPush(3));  // Full: producer drops.
-  EXPECT_EQ(*q.TryPop(), 1);
-  EXPECT_EQ(*q.TryPop(), 2);
-  EXPECT_FALSE(q.TryPop().has_value());
-}
-
-TEST(SpscQueue, PopForTimesOut) {
-  SpscQueue<int> q(1);
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_FALSE(q.PopFor(std::chrono::milliseconds(20)).has_value());
-  EXPECT_GE(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(15));
-}
-
-TEST(SpscQueue, CrossThreadDelivery) {
-  SpscQueue<int> q(128);
-  std::thread producer([&] {
-    for (int i = 0; i < 1000; ++i) {
-      while (!q.TryPush(i)) {
-        std::this_thread::yield();
-      }
-    }
-  });
-  int expected = 0;
-  while (expected < 1000) {
-    if (auto v = q.PopFor(std::chrono::milliseconds(100))) {
-      EXPECT_EQ(*v, expected);
-      ++expected;
-    }
-  }
-  producer.join();
 }
 
 class ControllerTest : public ::testing::Test {
@@ -168,26 +131,27 @@ class ControllerTest : public ::testing::Test {
                               PartitionConfig{.target_modules = 4});
   }
 
-  EgeriaConfig SyncConfig() {
+  EgeriaConfig Config() {
     EgeriaConfig cfg;
-    cfg.async_controller = false;
     cfg.window_w = 3;
     cfg.ref_update_evals = 100;  // No refresh during the test.
     return cfg;
   }
 };
 
-TEST_F(ControllerTest, ProducesFreezeDecisionSynchronously) {
+TEST_F(ControllerTest, DrainWaitsForTheFreezeDecision) {
   auto model = MakeModel();
-  EgeriaController controller(SyncConfig(), model->NumStages(), /*annealing=*/true);
+  EgeriaController controller(Config(), model->NumStages(), /*annealing=*/true);
   EXPECT_TRUE(controller.WantsSnapshot());
   InferenceFactory float_factory;
   controller.SubmitSnapshot(model->CloneForInference(float_factory));
-  controller.RunPendingSync();
+  controller.WaitIdle();
   EXPECT_TRUE(controller.HasReference());
 
   // Identical model & reference (modulo int8) with frozen weights: plasticity is
   // constant, so after 3 (tolerance) + window evaluations the stage must freeze.
+  // Each drain waits for the evaluation just submitted, so the decision lands
+  // at the first drain after the evaluation that made it.
   Rng rng(12);
   model->SetTraining(false);  // Keep BN deterministic across evals.
   Batch batch;
@@ -201,9 +165,9 @@ TEST_F(ControllerTest, ProducesFreezeDecisionSynchronously) {
     req.stage = 0;
     req.lr = 0.1F;
     req.iter = iter;
-    ASSERT_TRUE(controller.SubmitEval(std::move(req)));
-    controller.RunPendingSync();
+    controller.SubmitEval(std::move(req));
     decisions = controller.DrainDecisions();
+    EXPECT_EQ(controller.EvalsDone(), iter);
   }
   ASSERT_EQ(decisions.size(), 1u);
   EXPECT_EQ(decisions[0].kind, FreezeDecision::Kind::kFreezeUpTo);
@@ -216,12 +180,12 @@ TEST_F(ControllerTest, ProducesFreezeDecisionSynchronously) {
 
 TEST_F(ControllerTest, RequestsSnapshotRefresh) {
   auto model = MakeModel();
-  EgeriaConfig cfg = SyncConfig();
+  EgeriaConfig cfg = Config();
   cfg.ref_update_evals = 2;
   EgeriaController controller(cfg, model->NumStages(), true);
   InferenceFactory float_factory;
   controller.SubmitSnapshot(model->CloneForInference(float_factory));
-  controller.RunPendingSync();
+  controller.WaitIdle();
   EXPECT_FALSE(controller.WantsSnapshot());
 
   Rng rng(13);
@@ -237,9 +201,49 @@ TEST_F(ControllerTest, RequestsSnapshotRefresh) {
     req.lr = 0.1F;
     req.iter = iter;
     controller.SubmitEval(std::move(req));
-    controller.RunPendingSync();
+    controller.WaitIdle();
   }
   EXPECT_TRUE(controller.WantsSnapshot());
+}
+
+TEST_F(ControllerTest, SaveStateCapturesTheEvaluationsInFlight) {
+  // Saved right after submissions, as a checkpoint at the end of an
+  // evaluating iteration is: the save must wait for the thread, so the
+  // restored controller has seen every submitted evaluation.
+  auto model = MakeModel();
+  EgeriaController controller(Config(), model->NumStages(), true);
+  InferenceFactory float_factory;
+  controller.SubmitSnapshot(model->CloneForInference(float_factory));
+  Rng rng(14);
+  model->SetTraining(false);
+  Batch batch;
+  batch.input = Tensor::Randn({4, 3, 8, 8}, rng);
+  model->ForwardFrom(0, batch.input);
+  constexpr int64_t kEvals = 8;
+  for (int64_t iter = 1; iter <= kEvals; ++iter) {
+    EvalRequest req;
+    req.batch = batch;
+    req.train_act = model->StageOutput(0);
+    req.stage = 0;
+    req.lr = 0.1F;
+    req.iter = iter;
+    controller.SubmitEval(std::move(req));
+  }
+  std::stringstream blob;
+  controller.SaveState(blob);
+
+  EgeriaController restored(Config(), model->NumStages(), true);
+  ASSERT_TRUE(restored.RestoreState(
+      blob, [&] { return model->CloneForInference(float_factory); }));
+  EXPECT_TRUE(restored.HasReference());
+  EXPECT_EQ(restored.EvalsDone(), kEvals);
+  const std::vector<PlasticityRecord> saved = controller.PlasticityHistory();
+  const std::vector<PlasticityRecord> loaded = restored.PlasticityHistory();
+  ASSERT_EQ(loaded.size(), saved.size());
+  for (size_t i = 0; i < saved.size(); ++i) {
+    EXPECT_EQ(loaded[i].iter, saved[i].iter);
+    EXPECT_EQ(loaded[i].raw, saved[i].raw);
+  }
 }
 
 }  // namespace

@@ -146,57 +146,6 @@ TEST(StageChainModel, FloatInferenceCloneMatchesEvalModel) {
   }
 }
 
-TEST(StageChainModel, FrozenPrefixForwardPrecisionSubstitution) {
-  auto model = SmallResNet();
-  model->SetTraining(false);
-  Rng rng(55);
-  Tensor x = Tensor::Randn({2, 3, 12, 12}, rng);
-  Tensor fp32_out = model->ForwardFrom(0, x);
-
-  // Substitute stages 0-1 with fp16 forwards (the frozen prefix).
-  model->SetStageFrozen(0, true);
-  model->SetStageFrozen(1, true);
-  ASSERT_TRUE(model->SetStageForwardPrecision(0, Precision::kFloat16));
-  ASSERT_TRUE(model->SetStageForwardPrecision(1, Precision::kFloat16));
-  Tensor mixed_out = model->ForwardFrom(0, x);
-  ASSERT_TRUE(mixed_out.SameShape(fp32_out));
-  // Close to the fp32 forward (half-precision storage noise only)...
-  double err = 0.0;
-  for (int64_t i = 0; i < fp32_out.NumEl(); ++i) {
-    err += std::abs(static_cast<double>(mixed_out.Data()[i]) - fp32_out.Data()[i]);
-  }
-  err /= static_cast<double>(fp32_out.NumEl());
-  EXPECT_LT(err, 0.05 * std::max<double>(1.0, fp32_out.AbsMax()));
-  // ...but not bitwise equal: the substitute kernels must actually be in use.
-  bool identical = true;
-  for (int64_t i = 0; i < fp32_out.NumEl() && identical; ++i) {
-    identical = mixed_out.Data()[i] == fp32_out.Data()[i];
-  }
-  EXPECT_FALSE(identical);
-
-  // Restoring fp32 reinstates the exact original forward (checked before any
-  // training-mode forward so BatchNorm statistics are still untouched).
-  ASSERT_TRUE(model->SetStageForwardPrecision(0, Precision::kFloat32));
-  ASSERT_TRUE(model->SetStageForwardPrecision(1, Precision::kFloat32));
-  Tensor restored = model->ForwardFrom(0, x);
-  for (int64_t i = 0; i < fp32_out.NumEl(); ++i) {
-    ASSERT_EQ(restored.Data()[i], fp32_out.Data()[i]);
-  }
-
-  // Backward through the active suffix works; through a substituted stage dies.
-  ASSERT_TRUE(model->SetStageForwardPrecision(0, Precision::kFloat16));
-  ASSERT_TRUE(model->SetStageForwardPrecision(1, Precision::kFloat16));
-  model->SetTraining(true);
-  model->ForwardFrom(0, x);
-  Tensor grad = Tensor::Randn({2, 10}, rng);
-  model->ZeroGrad();
-  model->BackwardTo(2, grad);
-  // The compute pool's threads are alive by now, and a child forked with
-  // threads running can hang; the threadsafe style re-executes the binary.
-  testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  EXPECT_DEATH(model->BackwardTo(0, grad), "reduced-precision");
-}
-
 TEST(StageChainModel, ForwardPrefixMatchesStageOutputs) {
   auto model = SmallResNet();
   model->SetTraining(false);

@@ -316,7 +316,7 @@ TEST(StateDict, LoadRejectsMismatchedArchitecture) {
 TEST(ActivationCacheHygiene, CorruptSpillBecomesMissNotGarbage) {
   TempDir dir("spill");
   ActivationCache cache(dir.path + "/c", /*memory_entries=*/1);
-  cache.SetKey(0, Precision::kFloat32, /*generation=*/1);
+  cache.SetKey(0, /*generation=*/1);
   Rng rng(6);
   Tensor acts = Tensor::Randn({3, 4}, rng);
   cache.StoreBatch({10, 11, 12}, acts);
@@ -325,8 +325,8 @@ TEST(ActivationCacheHygiene, CorruptSpillBecomesMissNotGarbage) {
   // Corrupt sample 11's spill on disk (memory only holds the latest entry, so
   // fetching must hit the disk path for it). Truncation models a spill torn
   // by a crash mid-write. Filename follows the composite-key spill schema
-  // v<format>_s<stage>_p<precision>_<id>.egt.
-  const std::string victim = dir.path + "/c/v1_s0_p0_11.egt";
+  // v<format>_s<stage>_<id>.egt.
+  const std::string victim = dir.path + "/c/v2_s0_11.egt";
   ASSERT_TRUE(fs::exists(victim));
   std::error_code ec;
   fs::resize_file(victim, fs::file_size(victim) / 2, ec);
@@ -341,7 +341,7 @@ TEST(ActivationCacheHygiene, KeyChangeSweepsStaleSpillFiles) {
   const std::string cdir = dir.path + "/c";
   {
     ActivationCache cache(cdir, /*memory_entries=*/8);
-    cache.SetKey(0, Precision::kFloat32, /*generation=*/1);
+    cache.SetKey(0, /*generation=*/1);
     Rng rng(7);
     cache.StoreBatch({1, 2}, Tensor::Randn({2, 4}, rng));
   }
@@ -354,7 +354,7 @@ TEST(ActivationCacheHygiene, KeyChangeSweepsStaleSpillFiles) {
   }
   ActivationCache cache(cdir, /*memory_entries=*/8);
   // A key with no matching manifest sweeps everything, tracked or not.
-  cache.SetKey(1, Precision::kFloat32, /*generation=*/1);
+  cache.SetKey(1, /*generation=*/1);
   EXPECT_FALSE(fs::exists(cdir + "/s0_99.egt"));
 }
 
@@ -656,7 +656,6 @@ TrainConfig FreezingTrainConfig() {
   cfg.lr_schedule = std::make_shared<ConstantLr>(0.05F);
   cfg.val_batches = 4;
   cfg.enable_egeria = true;
-  cfg.egeria.async_controller = false;  // Deterministic: required for bitwise.
   cfg.egeria.eval_interval_n = 8;
   cfg.egeria.window_w = 3;
   cfg.egeria.enable_cache = true;

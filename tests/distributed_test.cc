@@ -644,7 +644,7 @@ TEST(DistFreezing, RingMatchesReferenceBitwiseAcrossWorldsAndTransports) {
 }
 
 // The ring round times both collectives as the rank's comm_wait phase (the
-// histogram the heartbeat stats frames carry to the straggler detector) and
+// input of egeria_trace --diagnose's straggler verdict) and
 // the owner's shard step as its opt phase, on every rank.
 TEST(DistPhases, RingRoundRecordsCommWaitAndOptOnEveryRank) {
   DistWorkload w = MakeDistWorkload("tiny");

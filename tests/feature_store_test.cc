@@ -88,29 +88,23 @@ TEST(FeatureStore, KeyChangeInvalidatesAndIdenticalKeyIsStable) {
   ActivationCache cache(dir.path + "/c", /*memory_entries=*/8);
   const std::vector<int64_t> ids = {1, 2, 3};
 
-  cache.SetKey(/*stage=*/2, Precision::kFloat32, /*generation=*/7);
+  cache.SetKey(/*stage=*/2, /*generation=*/7);
   cache.StoreBatch(ids, ActsFor(ids));
   ASSERT_TRUE(cache.HasAll(ids));
 
   // Re-setting the identical key is the per-iteration fast path: nothing lost.
-  cache.SetKey(2, Precision::kFloat32, 7);
+  cache.SetKey(2, 7);
   EXPECT_TRUE(cache.HasAll(ids));
   ExpectRowsEqual(cache.FetchBatch(ids), ids);
 
   // Generation moved (frontier weights or augmentation changed): everything out.
-  cache.SetKey(2, Precision::kFloat32, 8);
-  EXPECT_FALSE(cache.HasAll(ids));
-
-  cache.StoreBatch(ids, ActsFor(ids));
-  ASSERT_TRUE(cache.HasAll(ids));
-  // Prefix precision changed: the cached bits are the wrong numbers.
-  cache.SetKey(2, Precision::kFloat16, 8);
+  cache.SetKey(2, 8);
   EXPECT_FALSE(cache.HasAll(ids));
 
   cache.StoreBatch(ids, ActsFor(ids));
   ASSERT_TRUE(cache.HasAll(ids));
   // Frontier advanced to a different boundary stage.
-  cache.SetKey(3, Precision::kFloat16, 8);
+  cache.SetKey(3, 8);
   EXPECT_FALSE(cache.HasAll(ids));
 }
 
@@ -119,7 +113,7 @@ TEST(FeatureStore, FifoEvictionForgetsOldestEntirely) {
   // Disk accounting is payload bytes: a [1,4] f32 slice is 16 bytes. Budget two.
   ActivationCache cache(dir.path + "/c", /*memory_entries=*/8,
                         /*max_disk_bytes=*/32);
-  cache.SetKey(0, Precision::kFloat32, 5);
+  cache.SetKey(0, 5);
   const std::vector<int64_t> ids = {1, 2, 3};
   cache.StoreBatch(ids, ActsFor(ids));
 
@@ -135,14 +129,14 @@ TEST(FeatureStore, FifoEvictionForgetsOldestEntirely) {
 TEST(FeatureStore, CorruptSpillIsMissUnderKeyedFilename) {
   TempDir dir("fs-corrupt");
   ActivationCache cache(dir.path + "/c", /*memory_entries=*/1);
-  cache.SetKey(/*stage=*/2, Precision::kFloat32, /*generation=*/7);
+  cache.SetKey(/*stage=*/2, /*generation=*/7);
   const std::vector<int64_t> ids = {10, 11, 12};
   cache.StoreBatch(ids, ActsFor(ids));
   ASSERT_TRUE(cache.HasAll(ids));
 
   // Truncate one spill under the composite-key filename schema
-  // (v<fmt>_s<stage>_p<precision>_<id>.egt).
-  const std::string victim = dir.path + "/c/v1_s2_p0_11.egt";
+  // (v<fmt>_s<stage>_<id>.egt).
+  const std::string victim = dir.path + "/c/v2_s2_11.egt";
   ASSERT_TRUE(fs::exists(victim)) << "spill filename schema changed?";
   { std::ofstream(victim, std::ios::trunc); }
 
@@ -162,7 +156,7 @@ TEST(FeatureStore, PersistentStoreAdoptedAcrossRestart) {
   const std::vector<int64_t> ids = {1, 2, 3, 4};
   {
     ActivationCache cache(store, 8, int64_t{4} << 30, /*persistent=*/true);
-    cache.SetKey(/*stage=*/1, Precision::kFloat32, /*generation=*/42);
+    cache.SetKey(/*stage=*/1, /*generation=*/42);
     cache.StoreBatch(ids, ActsFor(ids));
     ASSERT_TRUE(cache.HasAll(ids));
   }
@@ -173,7 +167,7 @@ TEST(FeatureStore, PersistentStoreAdoptedAcrossRestart) {
   // "Process restart": fresh instance, same key -> the manifest validates the
   // directory and every surviving spill is adopted, bit-exact.
   ActivationCache cache(store, 8, int64_t{4} << 30, /*persistent=*/true);
-  cache.SetKey(1, Precision::kFloat32, 42);
+  cache.SetKey(1, 42);
   EXPECT_EQ(cache.Stats().adopted, 4);
   EXPECT_TRUE(cache.HasAll(ids));
   ExpectRowsEqual(cache.FetchBatch(ids), ids);
@@ -185,15 +179,31 @@ TEST(FeatureStore, AdoptionRefusedOnGenerationMismatch) {
   const std::vector<int64_t> ids = {1, 2, 3};
   {
     ActivationCache cache(store, 8, int64_t{4} << 30, /*persistent=*/true);
-    cache.SetKey(1, Precision::kFloat32, 42);
+    cache.SetKey(1, 42);
     cache.StoreBatch(ids, ActsFor(ids));
   }
   // Different generation (prefix weights or augmentation changed across the
   // restart): the directory is stale and must be swept, not adopted.
   ActivationCache cache(store, 8, int64_t{4} << 30, /*persistent=*/true);
-  cache.SetKey(1, Precision::kFloat32, 43);
+  cache.SetKey(1, 43);
   EXPECT_EQ(cache.Stats().adopted, 0);
   EXPECT_FALSE(cache.HasAll(ids));
+  EXPECT_EQ(SpillFileCount(store), 0);
+}
+
+TEST(FeatureStore, OlderFormatDirectoryIsSweptNotAdopted) {
+  // A version-1 store (its filenames and manifest carried a precision
+  // component) left behind by an older build: same stage and generation, but
+  // the format bump must sweep it.
+  TempDir dir("fs-oldfmt");
+  const std::string store = dir.path + "/store";
+  fs::create_directories(store);
+  { std::ofstream(store + "/store.manifest") << "egeria-feature-store 1 1 0 42\n"; }
+  { std::ofstream(store + "/v1_s1_p0_1.egt") << "stale"; }
+  ActivationCache cache(store, 8, int64_t{4} << 30, /*persistent=*/true);
+  cache.SetKey(1, 42);
+  EXPECT_EQ(cache.Stats().adopted, 0);
+  EXPECT_FALSE(cache.HasAll({1}));
   EXPECT_EQ(SpillFileCount(store), 0);
 }
 
@@ -204,7 +214,7 @@ TEST(FeatureStore, ConcurrentStoreFetchPrefetchUnderFixedKey) {
   // loads spills in the background. Run under TSan in CI.
   TempDir dir("fs-conc");
   ActivationCache cache(dir.path + "/c", /*memory_entries=*/4);
-  cache.SetKey(0, Precision::kFloat32, 9);
+  cache.SetKey(0, 9);
 
   constexpr int kBatches = 32;
   std::thread writer([&] {
@@ -247,11 +257,11 @@ TEST(FeatureStore, RekeyRacingPrefetchNeverResurrectsSweptEntries) {
     ids[i] = static_cast<int64_t>(i);
   }
   for (uint64_t gen = 1; gen <= 8; ++gen) {
-    cache.SetKey(0, Precision::kFloat32, gen);
+    cache.SetKey(0, gen);
     cache.StoreBatch(ids, ActsFor(ids));
     cache.PrefetchAsync(ids);  // In flight while the next SetKey sweeps.
   }
-  cache.SetKey(0, Precision::kFloat32, 100);
+  cache.SetKey(0, 100);
   EXPECT_FALSE(cache.HasAll(ids));
   cache.StoreBatch(ids, ActsFor(ids));
   EXPECT_TRUE(cache.HasAll(ids));
@@ -338,8 +348,8 @@ ResNetWorkload MakeResNetWorkload(uint64_t seed = 7, bool epoch_varying = false)
   return w;
 }
 
-// Deterministic static-freeze configuration: synchronous controller, no
-// plasticity evals, freeze point supplied by StaticFreezeHook.
+// Deterministic static-freeze configuration: no plasticity evals, freeze
+// point supplied by StaticFreezeHook.
 TrainConfig StaticFreezeConfig(int epochs) {
   TrainConfig cfg;
   cfg.epochs = epochs;
@@ -348,7 +358,6 @@ TrainConfig StaticFreezeConfig(int epochs) {
   cfg.lr_schedule = std::make_shared<ConstantLr>(0.05F);
   cfg.val_batches = 4;
   cfg.enable_egeria = true;
-  cfg.egeria.async_controller = false;
   cfg.egeria.eval_interval_n = 1 << 20;
   return cfg;
 }
