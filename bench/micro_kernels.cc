@@ -84,6 +84,45 @@ void BM_ConvForwardFloat(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvForwardFloat);
 
+// One training step's convolution work (Forward, then Backward) on the layer
+// shapes the presets train. Args: batch, in channels, out channels, spatial
+// size, kernel, dilation ("same" padding, stride 1).
+void BM_Conv2dTrainStep(benchmark::State& state) {
+  const int64_t batch = state.range(0);
+  const int64_t in_c = state.range(1);
+  const int64_t out_c = state.range(2);
+  const int64_t hw = state.range(3);
+  Rng rng(5);
+  Conv2d conv("c", in_c, out_c, state.range(4), rng, /*stride=*/1, /*pad=*/-1,
+              /*dilation=*/state.range(5));
+  Tensor x = Tensor::Randn({batch, in_c, hw, hw}, rng);
+  Tensor dy = Tensor::Randn({batch, out_c, hw, hw}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(conv.Forward(x));
+    benchmark::DoNotOptimize(conv.Backward(dy));
+  }
+}
+BENCHMARK(BM_Conv2dTrainStep)
+    ->ArgNames({"b", "in", "out", "hw", "k", "d"})
+    // ResNet-56 (cnn-freeze, cnn-nofreeze) stages.
+    ->Args({16, 4, 4, 12, 3, 1})
+    ->Args({16, 8, 8, 6, 3, 1})
+    ->Args({16, 16, 16, 3, 3, 1})
+    // ResNet-20 (dist-w2) stages.
+    ->Args({16, 8, 8, 12, 3, 1})
+    ->Args({16, 32, 32, 3, 3, 1})
+    // fig10 and the tiny distributed preset.
+    ->Args({8, 20, 20, 12, 3, 1})
+    ->Args({8, 4, 4, 10, 3, 1})
+    // ResNet-50 bottleneck 1x1 projections.
+    ->Args({16, 16, 8, 16, 1, 1})
+    ->Args({16, 128, 32, 2, 1, 1})
+    // MobileNetV2 1x1 expansions.
+    ->Args({16, 80, 320, 3, 1, 1})
+    ->Args({16, 4, 24, 12, 1, 1})
+    // DeepLab's dilated 3x3.
+    ->Args({16, 24, 24, 6, 3, 2});
+
 void BM_ConvForwardInt8(benchmark::State& state) {
   Rng rng(2);
   Conv2d fp("c", 16, 16, 3, rng);

@@ -26,6 +26,9 @@ Tensor ReLU::Forward(const Tensor& input) {
 
 Tensor ReLU::Backward(const Tensor& grad_output) {
   EGERIA_CHECK_MSG(cached_input_.Defined(), name_ + ": Backward without Forward");
+  EGERIA_CHECK_MSG(grad_output.SameShape(cached_input_),
+                   name_ + ": grad_output " + grad_output.ShapeStr() +
+                       " does not match the cached training Forward");
   Tensor grad = grad_output.Clone();
   float* g = grad.Data();
   const float* x = cached_input_.Data();
@@ -62,6 +65,9 @@ Tensor ReLU6::Forward(const Tensor& input) {
 
 Tensor ReLU6::Backward(const Tensor& grad_output) {
   EGERIA_CHECK_MSG(cached_input_.Defined(), name_ + ": Backward without Forward");
+  EGERIA_CHECK_MSG(grad_output.SameShape(cached_input_),
+                   name_ + ": grad_output " + grad_output.ShapeStr() +
+                       " does not match the cached training Forward");
   Tensor grad = grad_output.Clone();
   float* g = grad.Data();
   const float* x = cached_input_.Data();

@@ -21,16 +21,13 @@ Tensor BatchNorm2d::Forward(const Tensor& input) {
   const int64_t w = input.Size(3);
   const int64_t hw = h * w;
   const int64_t count = b * hw;
-  cached_b_ = b;
-  cached_h_ = h;
-  cached_w_ = w;
 
+  // Only a training Forward replaces the Backward caches: an eval-mode
+  // Forward (validation, a frozen prefix's reference) leaves them alone.
   Tensor out(input.Shape());
-  used_batch_stats_ = UseBatchStats();
-  cached_inv_std_ = Tensor({channels_});
-
-  if (used_batch_stats_) {
-    cached_xhat_ = Tensor(input.Shape());
+  Tensor inv_stds({channels_});
+  if (UseBatchStats()) {
+    Tensor xhats(input.Shape());
     for (int64_t c = 0; c < channels_; ++c) {
       double mean = 0.0;
       for (int64_t bi = 0; bi < b; ++bi) {
@@ -50,7 +47,7 @@ Tensor BatchNorm2d::Forward(const Tensor& input) {
       }
       var /= static_cast<double>(count);
       const float inv_std = 1.0F / std::sqrt(static_cast<float>(var) + eps_);
-      cached_inv_std_.At(c) = inv_std;
+      inv_stds.At(c) = inv_std;
       running_mean_.At(c) =
           (1.0F - momentum_) * running_mean_.At(c) + momentum_ * static_cast<float>(mean);
       running_var_.At(c) =
@@ -59,7 +56,7 @@ Tensor BatchNorm2d::Forward(const Tensor& input) {
       const float bt = beta_.value.At(c);
       for (int64_t bi = 0; bi < b; ++bi) {
         const float* plane = input.Data() + (bi * channels_ + c) * hw;
-        float* xh = cached_xhat_.Data() + (bi * channels_ + c) * hw;
+        float* xh = xhats.Data() + (bi * channels_ + c) * hw;
         float* op = out.Data() + (bi * channels_ + c) * hw;
         for (int64_t i = 0; i < hw; ++i) {
           const float xhat = (plane[i] - static_cast<float>(mean)) * inv_std;
@@ -68,13 +65,16 @@ Tensor BatchNorm2d::Forward(const Tensor& input) {
         }
       }
     }
+    cached_xhat_ = xhats;
+    cached_inv_std_ = inv_stds;
+    used_batch_stats_ = true;
   } else {
     // Inference / frozen path: running statistics. Output is a pure function of the
     // input, which makes frozen-prefix activations cacheable.
     for (int64_t c = 0; c < channels_; ++c) {
       const float mean = running_mean_.At(c);
       const float inv_std = 1.0F / std::sqrt(running_var_.At(c) + eps_);
-      cached_inv_std_.At(c) = inv_std;
+      inv_stds.At(c) = inv_std;
       const float g = gamma_.value.At(c);
       const float bt = beta_.value.At(c);
       for (int64_t bi = 0; bi < b; ++bi) {
@@ -90,7 +90,7 @@ Tensor BatchNorm2d::Forward(const Tensor& input) {
       cached_xhat_ = Tensor(input.Shape());
       for (int64_t c = 0; c < channels_; ++c) {
         const float mean = running_mean_.At(c);
-        const float inv_std = cached_inv_std_.At(c);
+        const float inv_std = inv_stds.At(c);
         for (int64_t bi = 0; bi < b; ++bi) {
           const float* plane = input.Data() + (bi * channels_ + c) * hw;
           float* xh = cached_xhat_.Data() + (bi * channels_ + c) * hw;
@@ -99,6 +99,8 @@ Tensor BatchNorm2d::Forward(const Tensor& input) {
           }
         }
       }
+      cached_inv_std_ = inv_stds;
+      used_batch_stats_ = false;
     }
   }
   return out;
@@ -106,8 +108,11 @@ Tensor BatchNorm2d::Forward(const Tensor& input) {
 
 Tensor BatchNorm2d::Backward(const Tensor& grad_output) {
   EGERIA_CHECK_MSG(cached_xhat_.Defined(), name_ + ": Backward without Forward");
-  const int64_t b = cached_b_;
-  const int64_t hw = cached_h_ * cached_w_;
+  EGERIA_CHECK_MSG(grad_output.SameShape(cached_xhat_),
+                   name_ + ": grad_output " + grad_output.ShapeStr() +
+                       " does not match the cached training Forward");
+  const int64_t b = cached_xhat_.Size(0);
+  const int64_t hw = cached_xhat_.Size(2) * cached_xhat_.Size(3);
   const int64_t count = b * hw;
   Tensor grad_in(grad_output.Shape());
 

@@ -48,14 +48,10 @@ class BatchNorm2d : public Module {
   Tensor running_mean_;
   Tensor running_var_;
 
-  // Backward caches (batch-stats path).
+  // Backward caches, written by training Forwards only.
   Tensor cached_xhat_;
-  Tensor cached_inv_std_;  // [c]
-  // Backward cache (running-stats path): inv_std from running_var.
+  Tensor cached_inv_std_;  // [c], from the batch or the running statistics
   bool used_batch_stats_ = false;
-  int64_t cached_b_ = 0;
-  int64_t cached_h_ = 0;
-  int64_t cached_w_ = 0;
 };
 
 }  // namespace egeria

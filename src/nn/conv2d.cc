@@ -1,5 +1,6 @@
 #include "src/nn/conv2d.h"
 
+#include <utility>
 #include <vector>
 
 #include "src/nn/init.h"
@@ -39,134 +40,25 @@ Conv2d::Conv2d(std::string name, int64_t in_channels, int64_t out_channels, int6
 Tensor Conv2d::Forward(const Tensor& input) {
   EGERIA_CHECK(input.Dim() == 4);
   EGERIA_CHECK_MSG(input.Size(1) == in_channels_, name_ + ": in_channels mismatch");
-  batch_ = input.Size(0);
-  in_h_ = input.Size(2);
-  in_w_ = input.Size(3);
-  const int64_t oh = geom_.OutH(in_h_);
-  const int64_t ow = geom_.OutW(in_w_);
-  Tensor cols = Im2Col(input, geom_);  // [b, ckk, ohow]
+  ConvInput x(input, geom_);
+  Tensor out =
+      ConvForward(x, weight_.value, has_bias_ ? bias_.value.Data() : nullptr);
   if (training_) {
-    cached_cols_ = cols;
-  }
-  const int64_t ckk = cols.Size(1);
-  const int64_t ohow = oh * ow;
-  Tensor out = Tensor::Uninitialized({batch_, out_channels_, oh, ow});
-  const float* wp = weight_.value.Data();
-  const float* colp = cols.Data();
-  const float* bp = has_bias_ ? bias_.value.Data() : nullptr;
-  float* op = out.Data();
-  const auto run_item = [&](int64_t b) {
-    float* oplane = op + b * out_channels_ * ohow;
-    Gemm(wp, colp + b * ckk * ohow, oplane, out_channels_, ckk, ohow,
-         /*trans_a=*/false, /*trans_b=*/false, /*accumulate=*/false);
-    if (bp != nullptr) {
-      for (int64_t c = 0; c < out_channels_; ++c) {
-        float* plane = oplane + c * ohow;
-        for (int64_t i = 0; i < ohow; ++i) {
-          plane[i] += bp[c];
-        }
-      }
-    }
-  };
-  // Batch items are independent; with few items, let each GEMM parallelize over
-  // its own row blocks instead.
-  if (batch_ >= ComputePoolThreads()) {
-    ParallelFor(batch_, 1, [&](int64_t lo, int64_t hi) {
-      for (int64_t b = lo; b < hi; ++b) {
-        run_item(b);
-      }
-    });
-  } else {
-    for (int64_t b = 0; b < batch_; ++b) {
-      run_item(b);
-    }
+    cached_input_ = std::move(x);
   }
   return out;
 }
 
 Tensor Conv2d::Backward(const Tensor& grad_output) {
-  EGERIA_CHECK_MSG(cached_cols_.Defined(), name_ + ": Backward without Forward");
-  const int64_t oh = geom_.OutH(in_h_);
-  const int64_t ow = geom_.OutW(in_w_);
-  const int64_t ohow = oh * ow;
-  const int64_t ckk = cached_cols_.Size(1);
-  EGERIA_CHECK(grad_output.Size(0) == batch_ && grad_output.Size(1) == out_channels_ &&
-               grad_output.Size(2) == oh && grad_output.Size(3) == ow);
-
-  Tensor dcols = Tensor::Uninitialized({batch_, ckk, ohow});
-  const float* dyp = grad_output.Data();
-  const float* colp = cached_cols_.Data();
-  const float* wp = weight_.value.Data();
-  float* dcolp = dcols.Data();
-
-  // Input gradient: dcols_b = W^T [ckk,oc] * dy_b [oc,ohow] — disjoint per item.
-  const auto run_dcols = [&](int64_t b) {
-    Gemm(wp, dyp + b * out_channels_ * ohow, dcolp + b * ckk * ohow, ckk,
-         out_channels_, ohow, /*trans_a=*/true, /*trans_b=*/false,
-         /*accumulate=*/false);
-  };
-  if (batch_ >= ComputePoolThreads()) {
-    ParallelFor(batch_, 1, [&](int64_t lo, int64_t hi) {
-      for (int64_t b = lo; b < hi; ++b) {
-        run_dcols(b);
-      }
-    });
-  } else {
-    for (int64_t b = 0; b < batch_; ++b) {
-      run_dcols(b);
-    }
-  }
-
-  // Weight/bias gradients sum over the batch. Each chunk of items accumulates
-  // into private scratch; scratches fold into the parameter grads in chunk order,
-  // so results are identical across runs at a fixed thread count.
-  const int64_t nchunks = std::min<int64_t>(ComputePoolThreads(), batch_);
-  const int64_t chunk = (batch_ + nchunks - 1) / nchunks;
-  const int64_t dw_size = out_channels_ * ckk;
-  std::vector<float> dw_scratch(static_cast<size_t>(nchunks * dw_size), 0.0F);
-  std::vector<double> db_scratch(
-      has_bias_ ? static_cast<size_t>(nchunks * out_channels_) : 0, 0.0);
-  ParallelFor(nchunks, 1, [&](int64_t c_lo, int64_t c_hi) {
-    for (int64_t ci = c_lo; ci < c_hi; ++ci) {
-      float* dw = dw_scratch.data() + ci * dw_size;
-      const int64_t b_end = std::min(batch_, (ci + 1) * chunk);
-      for (int64_t b = ci * chunk; b < b_end; ++b) {
-        const float* dy = dyp + b * out_channels_ * ohow;
-        // dW_ci += dy_b [oc,ohow] * cols_b^T [ohow,ckk]; the chunk's first item
-        // overwrites the scratch instead of accumulating into its zero-fill.
-        Gemm(dy, colp + b * ckk * ohow, dw, out_channels_, ohow, ckk,
-             /*trans_a=*/false, /*trans_b=*/true, /*accumulate=*/b != ci * chunk);
-        if (has_bias_) {
-          double* db = db_scratch.data() + ci * out_channels_;
-          for (int64_t c = 0; c < out_channels_; ++c) {
-            const float* plane = dy + c * ohow;
-            double s = 0.0;
-            for (int64_t i = 0; i < ohow; ++i) {
-              s += plane[i];
-            }
-            db[c] += s;
-          }
-        }
-      }
-    }
-  });
-  float* dw_out = weight_.grad.Data();
-  for (int64_t ci = 0; ci < nchunks; ++ci) {
-    const float* dw = dw_scratch.data() + ci * dw_size;
-    for (int64_t i = 0; i < dw_size; ++i) {
-      dw_out[i] += dw[i];
-    }
-  }
-  if (has_bias_) {
-    float* db_out = bias_.grad.Data();
-    for (int64_t ci = 0; ci < nchunks; ++ci) {
-      const double* db = db_scratch.data() + ci * out_channels_;
-      for (int64_t c = 0; c < out_channels_; ++c) {
-        db_out[c] += static_cast<float>(db[c]);
-      }
-    }
-  }
-  return Col2Im(dcols, geom_, in_channels_, in_h_, in_w_);
+  EGERIA_CHECK_MSG(cached_input_.Defined(), name_ + ": Backward without Forward");
+  const std::vector<int64_t> expected{cached_input_.batch(), out_channels_,
+                                      geom_.OutH(cached_input_.height()),
+                                      geom_.OutW(cached_input_.width())};
+  EGERIA_CHECK_MSG(grad_output.Shape() == expected,
+                   name_ + ": grad_output " + grad_output.ShapeStr() +
+                       " does not match the cached training Forward");
+  return ConvBackward(cached_input_, grad_output, weight_.value, weight_.grad.Data(),
+                      has_bias_ ? bias_.grad.Data() : nullptr);
 }
 
 std::vector<Parameter*> Conv2d::LocalParams() {

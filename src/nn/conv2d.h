@@ -1,5 +1,6 @@
-// 2-d convolution layers (NCHW), lowered to im2col + GEMM. DepthwiseConv2d is the
-// per-channel variant used by MobileNetV2's inverted residual blocks.
+// 2-d convolution layers (NCHW). Conv2d trains with the direct batch-lane
+// kernels of src/tensor/conv.h; DepthwiseConv2d is the per-channel variant used
+// by MobileNetV2's inverted residual blocks.
 #ifndef EGERIA_SRC_NN_CONV2D_H_
 #define EGERIA_SRC_NN_CONV2D_H_
 
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "src/nn/module.h"
+#include "src/tensor/conv.h"
 #include "src/tensor/tensor_ops.h"
 #include "src/util/rng.h"
 
@@ -39,12 +41,9 @@ class Conv2d : public Module {
   int64_t out_channels_;
   ConvGeom geom_;
   bool has_bias_;
-  Parameter weight_;  // [out_c, in_c*kh*kw] (GEMM layout)
+  Parameter weight_;  // [out_c, in_c*kh*kw], each row in (ci, kh, kw) order
   Parameter bias_;    // [out_c]
-  Tensor cached_cols_;  // im2col of the last input, kept for Backward
-  int64_t in_h_ = 0;
-  int64_t in_w_ = 0;
-  int64_t batch_ = 0;
+  ConvInput cached_input_;  // the last training Forward's input, packed
 };
 
 // Depthwise 3x3-style convolution: each channel convolved with its own kernel.

@@ -813,8 +813,9 @@ void GemmDriver(const typename TR::SrcA* a, const typename TR::SrcB* b,
 // per-dtype call counter (one relaxed atomic add; the reference is resolved
 // once via a function-local static) and, when tracing is enabled and the
 // problem is big enough to matter, emits a low-priority span with the shape
-// as args. Low priority + the volume floor keep per-item conv GEMMs from
-// flooding the per-thread buffers (see src/obs/trace.h).
+// as args. Low priority + the volume floor keep the many small GEMMs (the
+// reference model's per-item convolutions, attention heads) from flooding the
+// per-thread buffers (see src/obs/trace.h).
 constexpr int64_t kGemmTraceMinVolume = int64_t{1} << 20;  // m*k*n
 
 class GemmTraceScope {

@@ -1,7 +1,8 @@
 // Packed, cache-blocked, multithreaded GEMM with mixed-precision dtype paths.
 //
-// One dispatch serves every matmul in the repo (dense layers, attention, im2col
-// convolution, CCA metrics, quantized reference kernels): C[m,n] (+)= op(A) *
+// One dispatch serves every matmul in the repo (dense layers, attention, CCA
+// metrics, quantized reference kernels and their im2col convolutions; training
+// convolutions run src/tensor/conv.h instead): C[m,n] (+)= op(A) *
 // op(B) with row-major storage, where op transposes the operand's two
 // dimensions. All dtypes share one Goto/BLIS blocking and compute-pool
 // threading model — see src/tensor/README.md for the blocking parameters,

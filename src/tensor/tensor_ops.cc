@@ -149,48 +149,6 @@ void Im2ColItemI8(const int8_t* img, int64_t c, int64_t h, int64_t w,
   Im2ColItem(img, c, h, w, g, out);
 }
 
-Tensor Col2Im(const Tensor& cols, const ConvGeom& g, int64_t c, int64_t h, int64_t w) {
-  EGERIA_CHECK(cols.Dim() == 3);
-  const int64_t b = cols.Size(0);
-  const int64_t oh = g.OutH(h);
-  const int64_t ow = g.OutW(w);
-  EGERIA_CHECK(cols.Size(1) == c * g.kernel_h * g.kernel_w);
-  EGERIA_CHECK(cols.Size(2) == oh * ow);
-  Tensor img({b, c, h, w});
-  const float* in = cols.Data();
-  float* out = img.Data();
-  const int64_t col_rows = c * g.kernel_h * g.kernel_w;
-  // The scatter-add is per-image: batch items never touch each other's planes.
-  ParallelFor(b, 1, [&](int64_t b_lo, int64_t b_hi) {
-  for (int64_t bi = b_lo; bi < b_hi; ++bi) {
-    const float* col = in + bi * col_rows * oh * ow;
-    float* dst_img = out + bi * c * h * w;
-    for (int64_t ci = 0; ci < c; ++ci) {
-      for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
-        for (int64_t kw = 0; kw < g.kernel_w; ++kw) {
-          const int64_t row = (ci * g.kernel_h + kh) * g.kernel_w + kw;
-          const float* src = col + row * oh * ow;
-          for (int64_t oy = 0; oy < oh; ++oy) {
-            const int64_t iy = oy * g.stride - g.pad + kh * g.dilation;
-            if (iy < 0 || iy >= h) {
-              continue;
-            }
-            float* dst_row = dst_img + (ci * h + iy) * w;
-            for (int64_t ox = 0; ox < ow; ++ox) {
-              const int64_t ix = ox * g.stride - g.pad + kw * g.dilation;
-              if (ix >= 0 && ix < w) {
-                dst_row[ix] += src[oy * ow + ox];
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  });
-  return img;
-}
-
 std::pair<Tensor, Tensor> MaxPool2dForward(const Tensor& input, int64_t kernel,
                                            int64_t stride) {
   EGERIA_CHECK(input.Dim() == 4);

@@ -3,8 +3,8 @@
 // All matrices are row-major. Every matmul routes through the packed, blocked,
 // multithreaded Gemm dispatch in src/tensor/gemm.h (layers call it directly for
 // per-sample matmuls on subranges of batched tensors without materializing
-// slices); convolution lowers to im2col + GEMM (the standard CPU formulation, and
-// the one the int8 kernels mirror).
+// slices). Training convolutions run the direct kernels of src/tensor/conv.h;
+// the fp16 and int8 reference convolutions lower to Im2Col + GEMM.
 #ifndef EGERIA_SRC_TENSOR_TENSOR_OPS_H_
 #define EGERIA_SRC_TENSOR_TENSOR_OPS_H_
 
@@ -54,8 +54,6 @@ Tensor Im2Col(const Tensor& input, const ConvGeom& geom);
 // identical).
 void Im2ColItemI8(const int8_t* img, int64_t c, int64_t h, int64_t w,
                   const ConvGeom& geom, int8_t* out);
-// columns [b, c*kh*kw, oh*ow] -> input-shaped gradient [b,c,h,w] (scatter-add).
-Tensor Col2Im(const Tensor& cols, const ConvGeom& geom, int64_t c, int64_t h, int64_t w);
 
 // Max pooling. Returns output and the flat argmax index per output element (into the
 // input's h*w plane), which MaxPool2dBackward consumes.

@@ -1,14 +1,17 @@
 // Module-level semantics Egeria relies on beyond plain gradients: freeze flags,
 // training/inference modes, attention masking, dropout determinism, embedding
-// gradients, and state copying.
+// gradients, state copying, and Backward's guard against a stale cache.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
+#include <vector>
 
+#include "src/nn/activations.h"
 #include "src/nn/attention.h"
 #include "src/nn/batchnorm.h"
 #include "src/nn/blocks.h"
+#include "src/nn/conv2d.h"
 #include "src/nn/dropout.h"
 #include "src/nn/embedding.h"
 #include "src/nn/linear.h"
@@ -61,6 +64,26 @@ TEST(ModuleSemantics, FrozenBatchNormOutputIsInputDeterministic) {
   Tensor y2 = bn.Forward(x);
   for (int64_t i = 0; i < y1.NumEl(); ++i) {
     EXPECT_EQ(y1.Data()[i], y2.Data()[i]);
+  }
+}
+
+// An eval-mode Forward keeps no Backward cache, so a Backward at its batch
+// size must stop at the shape check instead of reading past the smaller
+// batch that the last training Forward cached.
+TEST(ModuleSemanticsDeathTest, BackwardAfterEvalForwardChecksTheCachedShape) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Rng rng(9);
+  Conv2d conv("conv", 3, 3, 3, rng);
+  BatchNorm2d bn("bn", 3);
+  ReLU relu("relu");
+  ReLU6 relu6("relu6");
+  for (Module* m : std::vector<Module*>{&conv, &bn, &relu, &relu6}) {
+    m->SetTraining(true);
+    m->Forward(Tensor::Randn({2, 3, 5, 5}, rng));
+    m->SetTraining(false);
+    const Tensor y = m->Forward(Tensor::Randn({8, 3, 5, 5}, rng));
+    EXPECT_DEATH(m->Backward(y), "does not match the cached training Forward")
+        << m->name();
   }
 }
 

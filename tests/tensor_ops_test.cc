@@ -94,32 +94,6 @@ TEST(TensorOps, BatchedMatMulTransBMatchesComposition) {
   ExpectNear(c1, c2, 1e-4F);
 }
 
-// <Im2Col(x), y> == <x, Col2Im(y)> — the adjoint identity that makes conv backward
-// correct by construction.
-struct GeomCase {
-  int64_t k, stride, pad, dil;
-};
-
-class Im2ColAdjointTest : public ::testing::TestWithParam<GeomCase> {};
-
-TEST_P(Im2ColAdjointTest, AdjointIdentity) {
-  const auto g = GetParam();
-  ConvGeom geom{g.k, g.k, g.stride, g.pad, g.dil};
-  Rng rng(11);
-  Tensor x = Tensor::Randn({2, 3, 8, 8}, rng);
-  Tensor cols = Im2Col(x, geom);
-  Tensor y = Tensor::Randn(cols.Shape(), rng);
-  const double lhs = cols.Dot(y);
-  Tensor back = Col2Im(y, geom, 3, 8, 8);
-  const double rhs = x.Dot(back);
-  EXPECT_NEAR(lhs, rhs, 1e-2 * std::max(1.0, std::abs(lhs)));
-}
-
-INSTANTIATE_TEST_SUITE_P(Geometries, Im2ColAdjointTest,
-                         ::testing::Values(GeomCase{3, 1, 1, 1}, GeomCase{3, 2, 1, 1},
-                                           GeomCase{1, 1, 0, 1}, GeomCase{3, 1, 2, 2},
-                                           GeomCase{5, 2, 2, 1}));
-
 TEST(TensorOps, SoftmaxRowsSumToOne) {
   Rng rng(13);
   Tensor x = Tensor::Randn({4, 7}, rng, 3.0F);
