@@ -1,10 +1,12 @@
 // Distributed substrate: network model, communication scheduler properties
 // (ByteScheduler <= FIFO; Egeria reduces both compute and traffic), real all-reduce
 // correctness (ring vs sequential reference, bitwise), shard repartitioning under
-// freezing, the data-parallel harness (a world of one is the plain Trainer),
-// and checkpoint resume (same-world, elastic, and async vs inline saves).
+// freezing, the data-parallel harness (a world of one is the plain Trainer; a
+// rank's CPU affinity survives TrainRank), and checkpoint resume (same-world,
+// elastic, and async vs inline saves).
 #include <gtest/gtest.h>
 
+#include <sched.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -673,6 +675,48 @@ TEST(DistPhases, RingRoundRecordsCommWaitAndOptOnEveryRank) {
   }
   // One reduce-scatter and one all-gather per rank per iteration.
   EXPECT_EQ(comm_wait.Count() - before, 2 * w.cfg.world * iterations);
+}
+
+// TrainRank moves each rank's thread to a CPU of its own before training
+// (dist_trainer.cc, StartOnOwnCpu) and must then give the thread back every
+// CPU it was allowed before, not all CPUs and not just the one.
+TEST(DistPlacement, TrainRankRestoresTheThreadsCpuAffinity) {
+  cpu_set_t all;
+  CPU_ZERO(&all);
+  ASSERT_EQ(0, sched_getaffinity(0, sizeof(all), &all));
+  cpu_set_t two;
+  CPU_ZERO(&two);
+  for (int cpu = 0, picked = 0; cpu < CPU_SETSIZE && picked < 2; ++cpu) {
+    if (CPU_ISSET(cpu, &all)) {
+      CPU_SET(cpu, &two);
+      ++picked;
+    }
+  }
+  DistWorkload w = MakeDistWorkload("tiny");
+  w.cfg.world = 2;
+  w.cfg.epochs = 1;
+  InprocTransportGroup group(w.cfg.world);
+  std::vector<RankTrainResult> results(static_cast<size_t>(w.cfg.world));
+  std::vector<int> set_rc(static_cast<size_t>(w.cfg.world), -1);
+  std::vector<cpu_set_t> after(static_cast<size_t>(w.cfg.world));
+  std::vector<std::thread> threads;
+  for (int r = 0; r < w.cfg.world; ++r) {
+    threads.emplace_back([&, r] {
+      const auto i = static_cast<size_t>(r);
+      set_rc[i] = sched_setaffinity(0, sizeof(two), &two);
+      results[i] = TrainRank(group.Get(r), w.make_model, *w.train, *w.val, w.cfg);
+      CPU_ZERO(&after[i]);
+      sched_getaffinity(0, sizeof(after[i]), &after[i]);
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  for (size_t i = 0; i < results.size(); ++i) {
+    ASSERT_EQ(set_rc[i], 0);
+    ASSERT_TRUE(results[i].status.ok()) << results[i].status.message;
+    EXPECT_TRUE(CPU_EQUAL(&after[i], &two)) << "rank " << i;
+  }
 }
 
 // ---- Checkpoint/restore: the bitwise-resume contract at harness level ----
