@@ -7,8 +7,8 @@
 //
 // Protocol: per-stage compute costs and gradient sizes are measured on the real
 // single-node model, then fed into the discrete-event iteration simulator under the
-// leaf-spine/ring-all-reduce network model. A real 2-worker threaded run with actual
-// all-reduce validates the traffic reduction.
+// leaf-spine/ring-all-reduce network model. A real 2-worker run of threads, with
+// the actual all-reduce over TCP between them, validates the traffic reduction.
 //
 // `fig10_distributed --transport=tcp` additionally launches worlds of 2/3/4
 // egeria_worker OS processes over the TCP ring transport and reports the

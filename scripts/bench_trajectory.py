@@ -3,8 +3,7 @@
 
 Usage:
     bench_trajectory.py TRAJ_JSON BENCH_JSON TABLE2_TXT GIT_SHA
-        [--fig09=FILE] [--trace=FILE] [--diagnose=FILE]
-        [--render=FILE] [--gate] [--check-only]
+        [--diagnose=FILE] [--render=FILE] [--gate] [--check-only]
 
 Parses the google-benchmark JSON report (BM_MatMul{,Fp16,Int8}/256) and the
 table2 smoke output, then updates-or-appends a git-SHA-keyed entry in the
@@ -26,16 +25,12 @@ A run still implausible on its final recording is written with
 "suspect": true: it stays in the trajectory for forensics but is excluded
 from gate baselines and future medians.
 
-With --fig09=FILE, parses a FIG09_SMOKE line (fig09_breakdown --smoke) into a
-"frozen_forward_saved" record: the steady-state frozen-prefix forward seconds
-the feature store eliminated, and the fraction thereof. With --trace=FILE,
-parses an EGERIA_TRACE_SMOKE line (scripts/check.sh's tracing drill) into a
-"tracer_overhead" record: wall-time cost of EGERIA_TRACE=1 on the 2-process
-TCP smoke (budget: <= 2%, but single-digit noise on a shared host is normal).
 With --diagnose=FILE, parses the EGERIA_DIAGNOSIS line emitted by
 tools/egeria_trace --diagnose into a "diagnosis" record: the bound
 classification and straggler_skew of the healthy 2-process trace-smoke run.
-All are advisory context: shared-host timings are too noisy to gate.
+It is advisory context, never gated. The feature store's frozen-forward
+savings and the tracer's overhead are measured by the benchmark
+(perfbench's models.frozen_fp_s and trace.overhead_pct), not recorded here.
 
 With --render=FILE, additionally writes a markdown before/after summary of the
 recorded entry versus the recent clean baseline window — CI uploads it as an
@@ -93,50 +88,6 @@ def parse_table2(table2_path):
             if m:
                 smoke["fastest"] = m.group(1)
     return smoke
-
-
-def parse_fig09(path):
-    """First FIG09_SMOKE line -> the feature store's frozen-forward savings."""
-    with open(path) as f:
-        for line in f:
-            if not line.startswith("FIG09_SMOKE "):
-                continue
-            kv = dict(field.partition("=")[::2] for field in line.split()[1:])
-            try:
-                record = {
-                    "frozen_fp_store_off_s":
-                        round(float(kv["frozen_fp_store_off_s"]), 6),
-                    "frozen_fp_store_on_s":
-                        round(float(kv["frozen_fp_store_on_s"]), 6),
-                    "frozen_forward_saved_s": round(float(kv["saved_s"]), 6),
-                    "saved_frac": round(float(kv["saved_frac"]), 4),
-                    "fp_skips": int(kv["fp_skips"]),
-                }
-            except (KeyError, ValueError):
-                continue
-            print(f"frozen_forward_saved: {record}")
-            return record
-    return None
-
-
-def parse_trace(path):
-    """First EGERIA_TRACE_SMOKE line -> the tracing drill's overhead record."""
-    with open(path) as f:
-        for line in f:
-            if not line.startswith("EGERIA_TRACE_SMOKE "):
-                continue
-            kv = dict(field.partition("=")[::2] for field in line.split()[1:])
-            try:
-                record = {
-                    "tracer_overhead_pct": round(float(kv["tracer_overhead_pct"]), 2),
-                    "traced_train_s": round(float(kv["traced_train_s"]), 6),
-                    "untraced_train_s": round(float(kv["untraced_train_s"]), 6),
-                }
-            except (KeyError, ValueError):
-                continue
-            print(f"tracer_overhead: {record}")
-            return record
-    return None
 
 
 def parse_diagnose(path):
@@ -306,8 +257,6 @@ def render_summary(entry, window, path):
             lines.append(f"| {name} | {new:.1f} | no clean baseline | — |")
     advisory = [
         ("table2_smoke", "Table 2 smoke (reference forward per precision)"),
-        ("frozen_forward_saved", "Feature store: frozen forward eliminated"),
-        ("tracer_overhead", "Span tracer: EGERIA_TRACE=1 wall-time cost"),
         ("diagnosis", "Trace diagnosis (bound class, straggler)"),
     ]
     lines += ["", "## Advisory records", ""]
@@ -324,23 +273,16 @@ def render_summary(entry, window, path):
 def main(argv):
     if len(argv) < 5:
         print(f"usage: {argv[0]} TRAJ_JSON BENCH_JSON TABLE2_TXT GIT_SHA "
-              f"[--fig09=FILE] [--trace=FILE] "
               f"[--diagnose=FILE] [--render=FILE] [--gate] [--check-only]",
               file=sys.stderr)
         return 2
     traj_path, bench_path, table2_path, sha = argv[1:5]
     gate = "--gate" in argv[5:]
     check_only = "--check-only" in argv[5:]
-    fig09_path = None
-    trace_path = None
     diagnose_path = None
     render_path = None
     for arg in argv[5:]:
-        if arg.startswith("--fig09="):
-            fig09_path = arg[len("--fig09="):]
-        elif arg.startswith("--trace="):
-            trace_path = arg[len("--trace="):]
-        elif arg.startswith("--diagnose="):
+        if arg.startswith("--diagnose="):
             diagnose_path = arg[len("--diagnose="):]
         elif arg.startswith("--render="):
             render_path = arg[len("--render="):]
@@ -378,14 +320,6 @@ def main(argv):
             for name, (new, med) in suspects.items())
         print("bench plausibility: recording entry with suspect=true "
               "(excluded from gate baselines and future medians)")
-    if fig09_path:
-        fig09 = parse_fig09(fig09_path)
-        if fig09 is not None:
-            entry["frozen_forward_saved"] = fig09
-    if trace_path:
-        trace = parse_trace(trace_path)
-        if trace is not None:
-            entry["tracer_overhead"] = trace
     if diagnose_path:
         diagnosis = parse_diagnose(diagnose_path)
         if diagnosis is not None:

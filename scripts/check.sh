@@ -19,9 +19,10 @@
 # and APPENDS the results as a git-SHA-keyed entry to the BENCH_gemm.json
 # trajectory (scripts/bench_trajectory.py), so successive PRs' numbers line up
 # and kernel regressions surface (re-running on the same SHA updates that SHA's
-# entry in place). The feature-store and tracer records are advisory (never
-# gated). The framed TCP pump and its heartbeat are measured
-# end to end by the benchmark's dist-w2 workload (perfbench/run.py).
+# entry in place). The diagnosis record is advisory (never gated). The
+# feature store's frozen-forward savings, the tracer's overhead, and the
+# framed TCP pump with its heartbeat are measured end to end by the
+# benchmark (perfbench/run.py: models.frozen_fp_s, trace.overhead_pct, dist-w2).
 #
 # Throttled-host defence: before recording, the kernel numbers are checked for
 # plausibility against the trajectory median (bench_trajectory.py
@@ -82,8 +83,7 @@ echo "== bench smoke: BM_MatMul{,Fp16,Int8}/256 =="
 bench_tmp=$(mktemp)
 bench_err=$(mktemp)
 table2_tmp=$(mktemp)
-fig09_tmp=$(mktemp)
-trap 'rm -f "$bench_tmp" "$bench_err" "$table2_tmp" "$fig09_tmp"' EXIT
+trap 'rm -f "$bench_tmp" "$bench_err" "$table2_tmp"' EXIT
 
 run_micro() {
   ./build/micro_kernels \
@@ -143,9 +143,8 @@ echo "== bench smoke: table2 reference-forward latency per precision =="
 echo "== bench smoke: fig09 frozen-forward elimination (feature store on/off) =="
 # Static-freeze pair on a small deterministic workload: the feature store must
 # eliminate >= 80% of the steady-state frozen-prefix forward seconds (the
-# binary exits nonzero below that bar or if the store never serves). saved_s
-# feeds the advisory frozen_forward_saved_s trajectory metric.
-./build/fig09_breakdown --smoke | tee "$fig09_tmp"
+# binary exits nonzero below that bar or if the store never serves).
+./build/fig09_breakdown --smoke
 
 echo "== dist smoke: 2-process TCP ring (egeria_worker via launch_dist.sh) =="
 ./scripts/launch_dist.sh -n 2 -t 300 -- --workload=tiny --epochs=2
@@ -157,7 +156,7 @@ echo "== dist smoke: crash-resume (checkpoint, --fault=exit, restart, hash pin) 
 # an uninterrupted run's — the checkpoint subsystem's bitwise-resume contract,
 # exercised end to end from the command line.
 resume_tmp=$(mktemp -d "${TMPDIR:-/tmp}/egeria-resume-XXXXXX")
-trap 'rm -f "$bench_tmp" "$bench_err" "$table2_tmp" "$fig09_tmp"; rm -rf "$resume_tmp"' EXIT
+trap 'rm -f "$bench_tmp" "$bench_err" "$table2_tmp"; rm -rf "$resume_tmp"' EXIT
 hash_of() {
   grep -h '^EGERIA_RESULT' "$1"/rank_*.log \
     | sed -n 's/.*params_hash=\([0-9a-f]*\).*/\1/p' | sort -u
@@ -226,10 +225,9 @@ echo "== dist smoke: tracing + exporter (merge, reconcile, diagnose, hash pin) =
 # command with EGERIA_TRACE=1 EGERIA_EXPORTER=1 must (a) produce per-rank
 # trace files that tools/egeria_trace merges into one timeline whose per-phase
 # span totals reconcile with the EGERIA_RESULT seconds within 5%, (b) start
-# the per-rank HTTP exporter, (c) leave the trained weights hash
-# bitwise-unchanged (observability, never arithmetic), and (d) cost little
-# enough that the advisory tracer_overhead_pct stays small. The tiny run is
-# over in well under a second, so the LIVE /metrics scrape happens during the
+# the per-rank HTTP exporter, and (c) leave the trained weights hash
+# bitwise-unchanged (observability, never arithmetic). The tiny run is over
+# in well under a second, so the LIVE /metrics scrape happens during the
 # longer injected-delay drill below — same world, same exporter.
 trace_tmp="$resume_tmp/trace"
 mkdir -p "$trace_tmp"
@@ -247,22 +245,6 @@ fi
   --reconcile="$trace_tmp/logs/rank_0.log" --diagnose \
   "$trace_tmp"/trace_rank0.json "$trace_tmp"/trace_rank1.json \
   | tee "$repo_root/build/diagnosis_report.txt"
-# Advisory overhead: traced vs untraced train_s from rank 0's EGERIA_RESULT.
-train_s_of() {
-  grep -h '^EGERIA_RESULT' "$1" | sed -n 's/.*[ ]train_s=\([0-9.]*\).*/\1/p' \
-    | head -n 1
-}
-trace_smoke_tmp=$(mktemp)
-ref_train_s=$(train_s_of "$resume_tmp/ref/rank_0.log")
-traced_train_s=$(train_s_of "$trace_tmp/logs/rank_0.log")
-python3 - "$ref_train_s" "$traced_train_s" > "$trace_smoke_tmp" <<'EOF'
-import sys
-ref, traced = float(sys.argv[1]), float(sys.argv[2])
-pct = 100.0 * (traced / ref - 1.0) if ref > 0 else 0.0
-print(f"EGERIA_TRACE_SMOKE tracer_overhead_pct={pct:.2f} "
-      f"traced_train_s={traced:.6f} untraced_train_s={ref:.6f}")
-EOF
-cat "$trace_smoke_tmp"
 echo "check.sh: trace smoke OK (merged $trace_tmp/merged.json, hash pin $traced_hash)"
 
 echo "== dist smoke: injected-delay straggler -> live scrape + --diagnose =="
@@ -344,9 +326,7 @@ cp "$trace_tmp/merged.json" "$repo_root/build/trace_merged.json"
 
 python3 scripts/bench_trajectory.py "$repo_root/BENCH_gemm.json" \
   "$bench_tmp" "$table2_tmp" "$git_sha" \
-  --fig09="$fig09_tmp" --trace="$trace_smoke_tmp" \
   --diagnose="$repo_root/build/diagnosis_report.txt" \
   --render="$repo_root/BENCH_summary.md" ${gate_args[@]+"${gate_args[@]}"}
-rm -f "$trace_smoke_tmp"
 
 echo "check.sh: OK (trajectory in BENCH_gemm.json)"

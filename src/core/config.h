@@ -23,22 +23,11 @@ struct EgeriaConfig {
   // first 3 readings (paper: 20%).
   double tolerance_coef = 0.2;
 
-  // Bootstrapping stage ends when the training-loss change rate drops below this
-  // (paper: "permissively set to 10%").
-  double bootstrap_change_rate = 0.10;
-
   // Upper bound on the bootstrapping stage, in iterations; the knowledge-guided
-  // stage starts no later than this even if the loss is still moving. <0 disables
+  // stage starts no later than this even if the loss is still moving (the
+  // stage otherwise ends on the loss's change rate, trainer.cc). <0 disables
   // the cap (pure change-rate criterion).
   int64_t max_bootstrap_iters = -1;
-
-  // Unfreeze-all triggers when lr <= unfreeze_lr_factor * lr_at_first_freeze under an
-  // annealing schedule ("LR has dropped over a factor of 10", S4.2.2).
-  double unfreeze_lr_factor = 0.1;
-
-  // W is multiplied by this after each unfreeze ("halve the counter and history
-  // buffer W for refreezing").
-  double refreeze_window_factor = 0.5;
 
   // Reference model precision and quantization mode (int8 static for conv nets,
   // int8 dynamic for NLP models; fp16/fp32 fallbacks, S4.1.3 and Table 2).
@@ -60,12 +49,10 @@ struct EgeriaConfig {
   // directory is used. A non-empty cache_dir is always treated as persistent.
   // In a world of W > 1 ranks every rank keeps its own store, in the chosen
   // directory suffixed "_r<rank>".
+  // Its memory tier, disk budget and prefetch depth are constants of the
+  // Trainer (trainer.cc).
   bool enable_cache = true;
   std::string cache_dir;
-  int64_t cache_memory_batches = 5;  // "the cache only stores the recent five
-                                     // mini-batches" in memory
-  int64_t cache_max_disk_bytes = int64_t{4} << 30;  // spill budget (FIFO evict)
-  int64_t prefetch_batches = 2;
 
   // Never freeze the last `protected_tail` stages (the head / loss module).
   int protected_tail = 1;

@@ -64,11 +64,6 @@ std::optional<FreezeDecision> EgeriaController::OnLr(float lr, int64_t iter) {
   return policy_.OnLr(lr, iter);
 }
 
-double EgeriaController::EvalSeconds() const {
-  WaitIdle();
-  return eval_seconds_;
-}
-
 std::vector<PlasticityRecord> EgeriaController::PlasticityHistory() const {
   WaitIdle();
   return history_;
@@ -121,7 +116,7 @@ void EgeriaController::BuildReference(std::unique_ptr<ChainModel> snapshot) {
 
 namespace {
 constexpr uint32_t kControllerMagic = 0x4F434745;  // 'EGCO'
-constexpr uint32_t kControllerVersion = 1;
+constexpr uint32_t kControllerVersion = 2;
 
 // DFS over the model's stage modules, visiting every quantized leaf of the
 // reference model in a deterministic order. Rebuilding the reference from the
@@ -177,7 +172,6 @@ void EgeriaController::SaveState(std::ostream& os) {
     wire::Write(os, static_cast<int32_t>(r.stage));
     wire::Write(os, r.raw);
   }
-  wire::Write(os, eval_seconds_);
   const bool has_ref = has_reference_.load() && ref_snapshot_ != nullptr;
   wire::Write(os, static_cast<uint8_t>(has_ref ? 1 : 0));
   if (has_ref) {
@@ -254,9 +248,8 @@ bool EgeriaController::RestoreState(
     r.stage = stage;
     history.push_back(r);
   }
-  double eval_seconds = 0.0;
   uint8_t has_ref = 0;
-  if (!wire::Read(is, eval_seconds) || !wire::Read(is, has_ref)) {
+  if (!wire::Read(is, has_ref)) {
     EGERIA_LOG(kError) << "controller state: truncated tail";
     return false;
   }
@@ -323,7 +316,6 @@ bool EgeriaController::RestoreState(
   evals_done_.store(evals_done);
   wants_snapshot_.store(wants_snapshot != 0);
   history_ = std::move(history);
-  eval_seconds_ = eval_seconds;
   std::lock_guard<std::mutex> lock(mutex_);
   decisions_ = std::move(pending);
   return true;
@@ -333,7 +325,6 @@ std::optional<FreezeDecision> EgeriaController::ProcessEval(const EvalRequest& r
   if (reference_ == nullptr) {
     return std::nullopt;  // No snapshot submitted yet; drop this periodic sample.
   }
-  WallTimer timer;
   // The controller's own forward pass plays the ROQ role (Fig. 6): A_R at
   // the same boundary, elicited by the same mini-batch.
   reference_->SetBatch(req.batch);
@@ -342,7 +333,6 @@ std::optional<FreezeDecision> EgeriaController::ProcessEval(const EvalRequest& r
   std::optional<FreezeDecision> decision =
       policy_.OnPlasticity(req.stage, plasticity, req.lr, req.iter);
   history_.push_back({req.iter, req.stage, plasticity});
-  eval_seconds_ += timer.ElapsedSeconds();
   evals_done_.fetch_add(1);
   if (++evals_since_refresh_ >= cfg_.ref_update_evals) {
     evals_since_refresh_ = 0;

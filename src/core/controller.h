@@ -88,8 +88,7 @@ class EgeriaController {
 
   bool HasReference() const { return has_reference_.load(); }
   int64_t EvalsDone() const { return evals_done_.load(); }
-  // These three wait (WaitIdle) before reading.
-  double EvalSeconds() const;
+  // These two wait (WaitIdle) before reading.
   std::vector<PlasticityRecord> PlasticityHistory() const;
   int Frontier() const;
 
@@ -149,7 +148,6 @@ class EgeriaController {
   std::atomic<double> last_quantize_seconds_{0.0};
   int64_t evals_since_refresh_ = 0;
   std::vector<PlasticityRecord> history_;
-  double eval_seconds_ = 0.0;
 
   std::thread thread_;
 };

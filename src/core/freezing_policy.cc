@@ -15,6 +15,14 @@ namespace {
 // Tolerance floor so that modules whose plasticity is flat from the very first
 // readings (max initial slope ~ 0) can still freeze.
 constexpr double kToleranceFloor = 1e-7;
+
+// Unfreeze-all fires when lr <= kUnfreezeLrFactor * lr_at_first_freeze under an
+// annealing schedule ("LR has dropped over a factor of 10", S4.2.2).
+constexpr double kUnfreezeLrFactor = 0.1;
+
+// W is multiplied by this after each unfreeze ("halve the counter and history
+// buffer W for refreezing", S4.2.2).
+constexpr double kRefreezeWindowFactor = 0.5;
 }  // namespace
 
 FreezingPolicy::FreezingPolicy(const EgeriaConfig& cfg, int num_stages,
@@ -196,7 +204,7 @@ std::optional<FreezeDecision> FreezingPolicy::OnLr(float lr, int64_t iter) {
   }
   bool fire = false;
   if (lr_annealing_) {
-    fire = lr <= cfg_.unfreeze_lr_factor * lr_at_first_freeze_;
+    fire = lr <= kUnfreezeLrFactor * lr_at_first_freeze_;
   } else if (cyclical_hook_) {
     fire = cyclical_hook_(lr, iter);
   }
@@ -207,7 +215,7 @@ std::optional<FreezeDecision> FreezingPolicy::OnLr(float lr, int64_t iter) {
   frontier_ = 0;
   any_frozen_ = false;
   window_ = std::max(2, static_cast<int>(std::lround(
-                            static_cast<double>(window_) * cfg_.refreeze_window_factor)));
+                            static_cast<double>(window_) * kRefreezeWindowFactor)));
   for (int i = 0; i < num_stages_; ++i) {
     ResetStageState(i);
   }

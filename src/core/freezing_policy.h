@@ -49,7 +49,6 @@ class FreezingPolicy {
   void SetCyclicalHook(CyclicalHook hook) { cyclical_hook_ = std::move(hook); }
 
   int frontier() const { return frontier_; }
-  int FrozenStages() const { return frontier_; }
   int window() const { return window_; }
   // Highest stage the policy may freeze (protects the tail module).
   int MaxFreezable() const { return num_stages_ - 1 - cfg_.protected_tail; }

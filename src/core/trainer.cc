@@ -28,6 +28,18 @@ std::string DefaultCacheDir(uint64_t seed) {
   return (base / std::to_string(::getpid() * 1000003ULL + seed)).string();
 }
 
+// The bootstrapping stage ends when the training loss's change rate drops
+// below this (paper S4.2.2: "permissively set to 10%").
+constexpr double kBootstrapChangeRate = 0.10;
+
+// The feature store's in-memory tier holds the recent five mini-batches ("the
+// cache only stores the recent five mini-batches", S4.3); spilled batches are
+// evicted FIFO past the disk budget, and the prefetcher reads this many
+// batches ahead.
+constexpr int64_t kCacheMemoryBatches = 5;
+constexpr int64_t kCacheMaxDiskBytes = int64_t{4} << 30;
+constexpr int64_t kPrefetchBatches = 2;
+
 constexpr uint32_t kTrainerStateMagic = 0x52544745;  // 'EGTR'
 constexpr uint32_t kTrainerStateVersion = 2;  // iter/frontier: the manifest's
 
@@ -101,8 +113,7 @@ Trainer::Trainer(ChainModel& model, const Dataset& train_data, const Dataset& va
         dir += "_r" + std::to_string(sync_->Rank());  // one store per rank
       }
       cache_ = std::make_unique<ActivationCache>(
-          dir, cfg_.egeria.cache_memory_batches * cfg_.batch_size,
-          cfg_.egeria.cache_max_disk_bytes, persistent);
+          dir, kCacheMemoryBatches * cfg_.batch_size, kCacheMaxDiskBytes, persistent);
     }
   }
   if (cfg_.ckpt.enabled() && cfg_.ckpt.async_save) {
@@ -244,7 +255,7 @@ void Trainer::UpdateBootstrap(double loss, int64_t iter) {
   bootstrap_window_count_ = 0;
   if (bootstrap_prev_avg_ > 0.0) {
     const double rate = std::abs(bootstrap_prev_avg_ - avg) / bootstrap_prev_avg_;
-    if (rate < cfg_.egeria.bootstrap_change_rate) {
+    if (rate < kBootstrapChangeRate) {
       knowledge_stage_ = true;
       result_.bootstrap_end_iter = iter;
       if (cfg_.verbose) {
@@ -461,7 +472,6 @@ TrainResult Trainer::Run() {
   // three can never disagree (see src/obs/README.md).
   trace::InitFromEnv();
   trace::SetThreadName("trainer");
-  obs::InstallDumpSignalHandler();
   // Without Egeria there is no bootstrap gate to pass.
   knowledge_stage_ = false;
 
@@ -657,7 +667,7 @@ TransportStatus Trainer::TrainEpoch(int epoch, int64_t first_step, EpochStats* e
         obs::ScopedPhase prefetch_phase("cache", "prefetch_submit", &cache_hist,
                                         &result_.cache_seconds);
         const int64_t ahead =
-            std::min(cfg_.egeria.prefetch_batches, IterationsPerEpoch() - step - 1);
+            std::min(kPrefetchBatches, IterationsPerEpoch() - step - 1);
         cache_->PrefetchAsync(
             loader_.UpcomingIndices((step + 1) * world + rank, ahead, world));
       }
@@ -714,7 +724,6 @@ TransportStatus Trainer::TrainEpoch(int epoch, int64_t first_step, EpochStats* e
     }
     ++result_.iterations;
     iter_counter.Add(1);
-    obs::MaybeDumpOnSignal("trainer");
 
     // --- Checkpoint + crash-drill stop (end of iteration: weights, optimizer
     // state, and the controller's decision state are all consistent here;

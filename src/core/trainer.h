@@ -125,8 +125,8 @@ struct TrainResult {
   int64_t fp_skip_count = 0;
   // Forward seconds spent inside the frozen prefix (only measurable while the
   // frontier is within MaxForwardSkipStage; zero before any freeze). With the
-  // feature store on, this collapses to the populate pass — the fig09 smoke's
-  // frozen_forward_saved_s metric is the off/on difference.
+  // feature store on, this collapses to the populate pass — the fig09 smoke
+  // gates on the off/on difference.
   double frozen_fp_seconds = 0.0;
   // Iterations where the store was enabled but declined to serve (epoch-varying
   // augmentation signature, or a stochastic module in the prefix).

@@ -8,8 +8,8 @@
 //    (ranks must be threads sharing the parameter lists).
 //  - RingAllReducer: bandwidth-optimal ring reduce-scatter + all-gather over
 //    `world` contract chunks, executed over a byte-oriented Transport
-//    (transport/transport.h) — the same schedule runs unchanged whether ranks
-//    are threads (InprocTransportGroup) or OS processes (MakeTcpTransport).
+//    (transport/transport.h) — the same schedule runs unchanged whether the
+//    TCP transport's ranks are threads of one process or OS processes.
 //    Each link carries 2(W-1)/W of the payload instead of the star reducer's
 //    2(W-1). Exposed as two halves so the ZeRO-1 sharded optimizer can run
 //    between them: reduce-scatter(grads) -> owner applies the optimizer update

@@ -11,7 +11,6 @@
 
 #include "src/ckpt/wire.h"
 #include "src/distributed/flat_view.h"
-#include "src/distributed/transport/inproc_transport.h"
 #include "src/distributed/transport/tcp_transport.h"
 #include "src/obs/metrics.h"
 #include "src/obs/phase.h"
@@ -348,38 +347,26 @@ DistTrainResult TrainDataParallel(
     const Dataset& train_data, const Dataset& val_data, const DistTrainConfig& cfg) {
   EGERIA_CHECK(cfg.world >= 1);
   EGERIA_CHECK(cfg.lr_schedule != nullptr);
-  const bool use_tcp = cfg.transport == DistTrainConfig::TransportKind::kTcp;
 
   GradientAllReducer reference(cfg.world);
   GradientAllReducer* reference_ptr =
       cfg.reducer == DistTrainConfig::Reducer::kSequentialReference ? &reference
                                                                     : nullptr;
 
-  InprocTransportGroup inproc(cfg.world);
-  std::string rendezvous_dir;
-  if (use_tcp) {
-    char tmpl[] = "/tmp/egeria-rdzv-XXXXXX";
-    EGERIA_CHECK_MSG(mkdtemp(tmpl) != nullptr, "mkdtemp failed for tcp rendezvous");
-    rendezvous_dir = tmpl;
-  }
+  char rendezvous_dir[] = "/tmp/egeria-rdzv-XXXXXX";
+  EGERIA_CHECK_MSG(mkdtemp(rendezvous_dir) != nullptr, "mkdtemp failed for tcp rendezvous");
+  const std::string rendezvous = std::string(rendezvous_dir) + "/rendezvous";
 
   std::vector<RankTrainResult> results(static_cast<size_t>(cfg.world));
   auto worker_fn = [&](int rank) {
-    auto run = [&](Transport& transport) {
-      results[static_cast<size_t>(rank)] =
-          TrainRank(transport, make_model, train_data, val_data, cfg, reference_ptr);
-    };
-    if (use_tcp) {
-      TcpTransportOptions opts;
-      opts.rank = rank;
-      opts.world = cfg.world;
-      opts.rendezvous_file = rendezvous_dir + "/rendezvous";
-      // Ranks are threads here, so wiring completes in milliseconds.
-      std::unique_ptr<Transport> transport = MakeTcpTransport(opts);
-      run(*transport);
-    } else {
-      run(inproc.Get(rank));
-    }
+    TcpTransportOptions opts;
+    opts.rank = rank;
+    opts.world = cfg.world;
+    opts.rendezvous_file = rendezvous;
+    // Ranks are threads here, so wiring completes in milliseconds.
+    std::unique_ptr<Transport> transport = MakeTcpTransport(opts);
+    results[static_cast<size_t>(rank)] =
+        TrainRank(*transport, make_model, train_data, val_data, cfg, reference_ptr);
   };
   std::vector<std::thread> threads;
   for (int r = 0; r < cfg.world; ++r) {
@@ -388,10 +375,8 @@ DistTrainResult TrainDataParallel(
   for (auto& t : threads) {
     t.join();
   }
-  if (!rendezvous_dir.empty()) {
-    unlink((rendezvous_dir + "/rendezvous").c_str());
-    rmdir(rendezvous_dir.c_str());
-  }
+  unlink(rendezvous.c_str());
+  rmdir(rendezvous_dir);
 
   DistTrainResult result;
   const RankTrainResult& r0 = results[0];

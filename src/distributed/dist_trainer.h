@@ -7,11 +7,12 @@
 // holds the Egeria controller, its frontier is exchanged at the top of every
 // iteration, and frozen stages drop out of both backward and the
 // synchronization payload (the Fig. 10 traffic saving). TrainRank is the
-// adapter that wires one rank, so the same code serves two deployments:
-//   - TrainDataParallel: the in-process harness — ranks are threads over an
-//     InprocTransportGroup (or, for validation, TCP sockets between threads).
-//   - tools/egeria_worker.cc: one rank per OS process over MakeTcpTransport,
-//     launched by SpawnWorld / scripts/launch_dist.sh.
+// adapter that wires one rank, so the same code serves two deployments, both
+// over the framed TCP transport (MakeTcpTransport):
+//   - TrainDataParallel: the in-process harness — ranks are threads, wired
+//     through localhost sockets.
+//   - tools/egeria_worker.cc: one rank per OS process, launched by SpawnWorld /
+//     scripts/launch_dist.sh.
 //
 // The two world syncs implement the same reduction contract and the same
 // compiled SGD arithmetic, so they train bitwise-identical weights — through
@@ -23,7 +24,8 @@
 //     so frozen parameters leave the ring payload and per-rank optimizer memory.
 //   - StarSync: the sequential reference — rank 0 folds every rank's gradients
 //     (GradientAllReducer), then every rank steps a replicated optimizer.
-//     In-process only: it reads peers' gradients through shared memory.
+//     In-process only: it reads peers' gradients through shared memory, while
+//     the frontier and the initial weights still cross the transport.
 #ifndef EGERIA_SRC_DISTRIBUTED_DIST_TRAINER_H_
 #define EGERIA_SRC_DISTRIBUTED_DIST_TRAINER_H_
 
@@ -58,20 +60,14 @@ struct DistTrainConfig : TrainConfig {
   };
   Reducer reducer = Reducer::kRingSharded;
 
-  // How the in-process harness (TrainDataParallel) wires its ranks together.
-  // kTcp runs every collective over real localhost sockets — same arithmetic,
-  // actual bytes on a wire — and requires reducer == kRingSharded.
-  enum class TransportKind { kInproc, kTcp };
-  TransportKind transport = TransportKind::kInproc;
-
   // Unused: nothing reads this field. Gradients are synchronized by one
   // sequential ZeRO-1 round per iteration (reduce-scatter, shard step,
   // all-gather). Kept only because existing callers still assign it.
   bool overlap_comm = true;
 
-  // Unused: nothing reads this field. The TCP transport frames and checksums
-  // every message itself, and in-process worlds carry no framing. Kept only
-  // because existing callers still assign it.
+  // Unused: nothing reads this field. The TCP transport, the only one, frames
+  // and checksums every message itself. Kept only because existing callers
+  // still assign it.
   bool frame_integrity = true;
 
   // Test hook: invoked at the top of every iteration (numbered from 1) on
@@ -216,8 +212,9 @@ RankTrainResult TrainRank(
     const Dataset& train_data, const Dataset& val_data, const DistTrainConfig& cfg,
     GradientAllReducer* reference_reducer = nullptr);
 
-// In-process harness: spawns cfg.world rank threads over the configured
-// transport and aggregates their RankTrainResults.
+// In-process harness: spawns cfg.world rank threads, wires them into one TCP
+// world through a fresh rendezvous file (heartbeat off), and aggregates their
+// RankTrainResults.
 DistTrainResult TrainDataParallel(
     const std::function<std::unique_ptr<ChainModel>()>& make_model,
     const Dataset& train_data, const Dataset& val_data, const DistTrainConfig& cfg);

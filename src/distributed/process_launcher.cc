@@ -23,6 +23,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// How long the other ranks may take to exit on their own once one rank has
+// exited with kCleanAbortExitCode (bounded by the world's deadline).
+constexpr std::chrono::milliseconds kCleanAbortGrace{2000};
+
+// Relaunch backoff: each attempt's sleep is the previous one's times this,
+// capped.
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffMaxS = 30.0;
+
 void MakeDirs(const std::string& path) {
   std::string partial;
   std::istringstream parts(path);
@@ -130,6 +139,8 @@ SpawnResult SpawnWorld(const SpawnOptions& options) {
                          std::chrono::duration<double>(options.timeout_s));
   int live = options.world;
   int failed_rank = -1;
+  // Once a rank has failed: when the ranks still running get killed.
+  Clock::time_point kill_at = deadline;
 
   auto kill_survivors = [&]() {
     for (int r = 0; r < options.world; ++r) {
@@ -157,10 +168,13 @@ SpawnResult SpawnWorld(const SpawnOptions& options) {
   };
 
   while (live > 0) {
+    if (failed_rank >= 0 && Clock::now() >= kill_at) {
+      break;
+    }
     int status = 0;
     const pid_t pid = waitpid(-1, &status, WNOHANG);
     if (pid == 0) {
-      if (Clock::now() >= deadline) {
+      if (failed_rank < 0 && Clock::now() >= deadline) {
         std::string stuck;
         for (int r = 0; r < options.world; ++r) {
           if (result.exit_codes[static_cast<size_t>(r)] == -1) {
@@ -187,18 +201,23 @@ SpawnResult SpawnWorld(const SpawnOptions& options) {
       --live;
       if (code != 0 && failed_rank < 0) {
         failed_rank = r;
+        // Fail fast: the survivors would only block in their collectives
+        // until the transport deadline. After a clean abort they are
+        // unwinding through the same error, so let them finish their own
+        // EGERIA_ABORT line first.
+        kill_at = code == kCleanAbortExitCode
+                      ? std::min(deadline, Clock::now() + kCleanAbortGrace)
+                      : Clock::now();
       }
     }
-    if (failed_rank >= 0) {
-      // Fail fast: the survivors would only block in their collectives until
-      // the transport deadline; kill them and report the root cause.
-      kill_survivors();
-      result.error = "rank " + std::to_string(failed_rank) + " exited with code " +
-                     std::to_string(result.exit_codes[static_cast<size_t>(failed_rank)]) +
-                     " (world killed; see " +
-                     result.log_paths[static_cast<size_t>(failed_rank)] + ")";
-      return result;
-    }
+  }
+  if (failed_rank >= 0) {
+    kill_survivors();
+    result.error = "rank " + std::to_string(failed_rank) + " exited with code " +
+                   std::to_string(result.exit_codes[static_cast<size_t>(failed_rank)]) +
+                   " (world killed; see " +
+                   result.log_paths[static_cast<size_t>(failed_rank)] + ")";
+    return result;
   }
 
   for (int r = 0; r < options.world; ++r) {
@@ -220,16 +239,12 @@ SpawnResult SpawnWorldWithRecovery(const SpawnOptions& options,
     SpawnOptions cur = options;
     cur.log_dir = options.log_dir + "/attempt_" + std::to_string(attempt);
     if (attempt > 0) {
-      if (recovery.restart_world > 0) {
-        cur.world = recovery.restart_world;
-      } else if (recovery.shrink_world_on_restart) {
+      if (recovery.shrink_world_on_restart) {
         // Each restart models one permanently lost machine: W-1 per attempt,
         // never below a singleton world.
         cur.world = std::max(1, options.world - attempt);
       }
-      if (recovery.drop_per_rank_args_on_restart) {
-        cur.per_rank_args.clear();
-      }
+      cur.per_rank_args.clear();
     }
     last = SpawnWorld(cur);
     last.attempts = attempt + 1;
@@ -251,8 +266,7 @@ SpawnResult SpawnWorldWithRecovery(const SpawnOptions& options,
     if (backoff_s > 0.0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(backoff_s));
     }
-    backoff_s = std::min(recovery.backoff_max_s,
-                         backoff_s * recovery.backoff_multiplier);
+    backoff_s = std::min(kBackoffMaxS, backoff_s * kBackoffMultiplier);
   }
   last.error = "world failed after " + std::to_string(recovery.max_restarts + 1) +
                " attempt(s); last error: " + last.error;

@@ -6,7 +6,10 @@
 // fails the world FAST (the survivors are killed instead of blocking in their
 // collectives until the transport deadline), and a rank that wedges trips the
 // overall timeout, after which everything is killed and a clean, attributable
-// error string comes back — the launcher never hangs.
+// error string comes back — the launcher never hangs. A rank that exits with
+// kCleanAbortExitCode has unwound through a typed transport error its peers
+// see too, so they get a short grace to report their own abort and exit
+// before they are killed.
 #ifndef EGERIA_SRC_DISTRIBUTED_PROCESS_LAUNCHER_H_
 #define EGERIA_SRC_DISTRIBUTED_PROCESS_LAUNCHER_H_
 
@@ -15,6 +18,10 @@
 #include <vector>
 
 namespace egeria {
+
+// egeria_worker's exit code after a transport error ended its run cleanly
+// (it printed an EGERIA_ABORT line and wrote no torn checkpoint).
+constexpr int kCleanAbortExitCode = 4;
 
 struct SpawnOptions {
   std::string worker_binary;
@@ -64,27 +71,19 @@ struct RecoverySpec {
   // to report the resume point. Pass it to the workers via --ckpt-dir in
   // SpawnOptions::common_args.
   std::string ckpt_dir;
-  // Elastic restart: world size for relaunched attempts (0 = keep
-  // options.world). The workers re-fold the saved optimizer shards through
-  // the reduction-contract partition at the new size.
-  int restart_world = 0;
-  // Alternative elastic policy: each restart drops one rank (floor 1),
-  // modeling a world that permanently lost a machine. Ignored when
-  // restart_world > 0 pins the restart size explicitly.
+  // Elastic restart: each restart drops one rank (floor 1), modeling a world
+  // that permanently lost a machine. The workers re-fold the saved optimizer
+  // shards through the reduction-contract partition at the new size.
   bool shrink_world_on_restart = false;
-  // Per-rank extras (fault injection in tests) are one-shot: restarts drop
-  // them so an injected crash cannot re-fire forever.
-  bool drop_per_rank_args_on_restart = true;
-  // Exponential backoff between attempts (sleep before each relaunch):
-  // initial * multiplier^(attempt-1), capped at max. Keeps a crash-looping
-  // world from hammering the machine while still restarting promptly.
+  // Sleep before the first relaunch; it doubles per attempt up to 30 s, so a
+  // crash-looping world does not hammer the machine yet restarts promptly.
   double backoff_initial_s = 0.5;
-  double backoff_multiplier = 2.0;
-  double backoff_max_s = 30.0;
 };
 
-// Each attempt runs in <options.log_dir>/attempt_<n>. Returns the final
-// attempt's result with `attempts` filled in.
+// Each attempt runs in <options.log_dir>/attempt_<n>. Per-rank extras
+// (SpawnOptions::per_rank_args, fault injection in tests) are one-shot:
+// restarts drop them so an injected crash cannot re-fire forever. Returns the
+// final attempt's result with `attempts` filled in.
 SpawnResult SpawnWorldWithRecovery(const SpawnOptions& options,
                                    const RecoverySpec& recovery);
 

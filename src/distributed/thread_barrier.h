@@ -1,13 +1,8 @@
-// Reusable generation-counting barrier for the thread-based collectives.
+// Reusable generation-counting barrier for the sequential reference reducer
+// (GradientAllReducer), whose ranks are threads of one process.
 // The generation counter (not a bool flip) makes back-to-back barriers safe: a
 // thread that races ahead into the next Wait cannot consume the previous
 // generation's release.
-//
-// The barrier is abortable: Abort() releases every current waiter and makes
-// all future Waits return immediately with `false`, so one rank failing a
-// collective can unwind the whole thread world instead of leaving peers
-// blocked forever. Callers that never abort (the sequential reference
-// reducer) may ignore the return value.
 #ifndef EGERIA_SRC_DISTRIBUTED_THREAD_BARRIER_H_
 #define EGERIA_SRC_DISTRIBUTED_THREAD_BARRIER_H_
 
@@ -22,43 +17,24 @@ class ThreadBarrier {
   explicit ThreadBarrier(int parties) : parties_(parties) {}
 
   // Blocks until `parties` threads have called Wait for this generation.
-  // Returns true on a normal release, false if the barrier was aborted
-  // (before or during the wait).
-  bool Wait() {
+  void Wait() {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (aborted_) {
-      return false;
-    }
     const int64_t gen = generation_;
     if (++arrived_ == parties_) {
       arrived_ = 0;
       ++generation_;
       cv_.notify_all();
     } else {
-      cv_.wait(lock, [&] { return generation_ != gen || aborted_; });
+      cv_.wait(lock, [&] { return generation_ != gen; });
     }
-    return !aborted_;
-  }
-
-  // Poisons the barrier: wakes every waiter and fails all future Waits.
-  void Abort() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    aborted_ = true;
-    cv_.notify_all();
-  }
-
-  bool Aborted() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return aborted_;
   }
 
  private:
   int parties_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_;
   int arrived_ = 0;
   int64_t generation_ = 0;
-  bool aborted_ = false;
 };
 
 }  // namespace egeria

@@ -7,7 +7,7 @@
 //  - RingExchange: the ring step — send a buffer to rank (r+1)%W while
 //    receiving one from rank (r-1+W)%W. Full-duplex by contract so a cycle of
 //    blocking sends can never deadlock.
-//  - Barrier: world-wide rendezvous (star through rank 0 on socket backends).
+//  - Barrier: world-wide rendezvous (a star through rank 0).
 //  - Broadcast: small control-plane message from rank 0 to every rank (freeze
 //    frontier decisions, initial weight sync, reshard coordination).
 //
@@ -17,18 +17,13 @@
 // endpoint is permanently failed — further collectives return an error too —
 // so callers unwind once and exit cleanly. LocalAbort lets a layer above
 // (the heartbeat failure detector, a rank leaving the world) fail the
-// endpoint deliberately, which also releases any peer threads blocked on this
-// endpoint's participation (inproc backend).
+// endpoint deliberately.
 //
-// Two implementations:
-//  - InprocTransportGroup (inproc_transport.h): ranks are threads in one
-//    process; mailboxes + a generation barrier. Reproduces the original
-//    thread-backed collectives. Nothing in one process can corrupt a memcpy,
-//    so its messages carry no framing.
-//  - MakeTcpTransport (tcp_transport.h): ranks are OS processes (or threads)
-//    connected over localhost TCP; every frame carries a sequence number and
-//    a digest, and deterministic fault drills (fault_injection.h) are
-//    injected inside its socket pump.
+// One implementation, MakeTcpTransport (tcp_transport.h): ranks are OS
+// processes (or threads of one process) connected over localhost TCP; every
+// frame carries a sequence number and a digest, and deterministic fault drills
+// (fault_injection.h) are injected inside its socket pump. Keeping the
+// interface lets decorators wrap an endpoint (perfbench's traced transport).
 //
 // All payloads are raw bytes in host representation: endpoints must share an
 // architecture (documented limitation; frame headers are little-endian on the
@@ -72,11 +67,9 @@ class Transport {
 
   // Permanently fails this endpoint with `reason`: every in-flight and future
   // collective returns a non-ok status promptly instead of blocking until a
-  // deadline. On the inproc backend this poisons the whole group (peer
-  // threads blocked on this endpoint's participation are released with
-  // kAborted); on TCP it fails only the local endpoint — peers observe the
-  // closed sockets when this process/thread unwinds. Idempotent; the first
-  // reason wins.
+  // deadline. It fails only the local endpoint — peers observe the closed
+  // sockets when this process/thread unwinds. Idempotent; the first reason
+  // wins.
   virtual void LocalAbort(const TransportStatus& reason) = 0;
 };
 

@@ -102,6 +102,9 @@ Tensor GeLU::Forward(const Tensor& input) {
 
 Tensor GeLU::Backward(const Tensor& grad_output) {
   EGERIA_CHECK_MSG(cached_input_.Defined(), name_ + ": Backward without Forward");
+  EGERIA_CHECK_MSG(grad_output.SameShape(cached_input_),
+                   name_ + ": grad_output " + grad_output.ShapeStr() +
+                       " does not match the cached training Forward");
   Tensor grad = grad_output.Clone();
   float* g = grad.Data();
   const float* xp = cached_input_.Data();
@@ -137,6 +140,9 @@ Tensor Sigmoid::Forward(const Tensor& input) {
 
 Tensor Sigmoid::Backward(const Tensor& grad_output) {
   EGERIA_CHECK_MSG(cached_output_.Defined(), name_ + ": Backward without Forward");
+  EGERIA_CHECK_MSG(grad_output.SameShape(cached_output_),
+                   name_ + ": grad_output " + grad_output.ShapeStr() +
+                       " does not match the cached training Forward");
   Tensor grad = grad_output.Clone();
   float* g = grad.Data();
   const float* y = cached_output_.Data();
@@ -167,6 +173,9 @@ Tensor Tanh::Forward(const Tensor& input) {
 
 Tensor Tanh::Backward(const Tensor& grad_output) {
   EGERIA_CHECK_MSG(cached_output_.Defined(), name_ + ": Backward without Forward");
+  EGERIA_CHECK_MSG(grad_output.SameShape(cached_output_),
+                   name_ + ": grad_output " + grad_output.ShapeStr() +
+                       " does not match the cached training Forward");
   Tensor grad = grad_output.Clone();
   float* g = grad.Data();
   const float* y = cached_output_.Data();

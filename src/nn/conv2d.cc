@@ -133,6 +133,9 @@ Tensor DepthwiseConv2d::Backward(const Tensor& grad_output) {
   const int64_t w = cached_input_.Size(3);
   const int64_t oh = geom_.OutH(h);
   const int64_t ow = geom_.OutW(w);
+  EGERIA_CHECK_MSG(grad_output.Shape() == std::vector<int64_t>({b, channels_, oh, ow}),
+                   name_ + ": grad_output " + grad_output.ShapeStr() +
+                       " does not match the cached training Forward");
   const int64_t k = geom_.kernel_h;
   Tensor grad_in({b, channels_, h, w});
   for (int64_t bi = 0; bi < b; ++bi) {

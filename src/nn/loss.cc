@@ -163,37 +163,6 @@ double TopOneAccuracy(const Tensor& logits, const std::vector<int>& labels) {
   return static_cast<double>(correct) / static_cast<double>(n);
 }
 
-double PixelAccuracy(const Tensor& logits, const std::vector<int>& labels) {
-  EGERIA_CHECK(logits.Dim() == 4);
-  const int64_t b = logits.Size(0);
-  const int64_t c = logits.Size(1);
-  const int64_t hw = logits.Size(2) * logits.Size(3);
-  int64_t correct = 0;
-  int64_t total = 0;
-  for (int64_t bi = 0; bi < b; ++bi) {
-    for (int64_t i = 0; i < hw; ++i) {
-      const int label = labels[static_cast<size_t>(bi * hw + i)];
-      if (label == kIgnoreLabel) {
-        continue;
-      }
-      int64_t best = 0;
-      float best_v = logits.Data()[(bi * c) * hw + i];
-      for (int64_t ci = 1; ci < c; ++ci) {
-        const float v = logits.Data()[(bi * c + ci) * hw + i];
-        if (v > best_v) {
-          best_v = v;
-          best = ci;
-        }
-      }
-      if (best == label) {
-        ++correct;
-      }
-      ++total;
-    }
-  }
-  return (total > 0) ? static_cast<double>(correct) / static_cast<double>(total) : 0.0;
-}
-
 double MeanIoU(const Tensor& logits, const std::vector<int>& labels, int num_classes) {
   EGERIA_CHECK(logits.Dim() == 4);
   const int64_t b = logits.Size(0);
@@ -235,32 +204,6 @@ double MeanIoU(const Tensor& logits, const std::vector<int>& labels, int num_cla
     }
   }
   return (present > 0) ? sum / present : 0.0;
-}
-
-double SequenceAccuracy(const Tensor& logits, const std::vector<int>& labels) {
-  EGERIA_CHECK(logits.Dim() == 3);
-  const int64_t rows = logits.Size(0) * logits.Size(1);
-  const int64_t c = logits.Size(2);
-  int64_t correct = 0;
-  int64_t total = 0;
-  for (int64_t r = 0; r < rows; ++r) {
-    const int label = labels[static_cast<size_t>(r)];
-    if (label == kIgnoreLabel) {
-      continue;
-    }
-    const float* row = logits.Data() + r * c;
-    int64_t best = 0;
-    for (int64_t j = 1; j < c; ++j) {
-      if (row[j] > row[best]) {
-        best = j;
-      }
-    }
-    if (best == label) {
-      ++correct;
-    }
-    ++total;
-  }
-  return (total > 0) ? static_cast<double>(correct) / static_cast<double>(total) : 0.0;
 }
 
 double Perplexity(const Tensor& logits, const std::vector<int>& labels) {

@@ -34,11 +34,8 @@ LossResult SpanLoss(const Tensor& logits, const std::vector<std::pair<int, int>>
 
 // Accuracy helpers used by validation loops.
 double TopOneAccuracy(const Tensor& logits, const std::vector<int>& labels);
-double PixelAccuracy(const Tensor& logits, const std::vector<int>& labels);
 // Mean intersection-over-union over classes present in labels.
 double MeanIoU(const Tensor& logits, const std::vector<int>& labels, int num_classes);
-// Token-level prediction accuracy ignoring kIgnoreLabel.
-double SequenceAccuracy(const Tensor& logits, const std::vector<int>& labels);
 // exp(mean CE) over non-ignored positions.
 double Perplexity(const Tensor& logits, const std::vector<int>& labels);
 // Span overlap F1 (SQuAD-style, over token indices).

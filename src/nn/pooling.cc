@@ -67,22 +67,6 @@ std::unique_ptr<Module> GlobalAvgPool::CloneForInference(const InferenceFactory&
   return m;
 }
 
-Tensor Flatten::Forward(const Tensor& input) {
-  input_shape_ = input.Shape();
-  return input.Reshape({input.Size(0), -1});
-}
-
-Tensor Flatten::Backward(const Tensor& grad_output) {
-  return grad_output.Reshape(input_shape_);
-}
-
-std::unique_ptr<Module> Flatten::CloneForInference(const InferenceFactory& factory) const {
-  (void)factory;
-  auto m = std::make_unique<Flatten>(name_);
-  m->SetTraining(false);
-  return m;
-}
-
 Upsample::Upsample(std::string name, int64_t out_h, int64_t out_w)
     : Module(std::move(name)), out_h_(out_h), out_w_(out_w) {}
 

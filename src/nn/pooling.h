@@ -1,4 +1,4 @@
-// Pooling modules (max / average / global-average) over NCHW maps, plus Flatten and a
+// Pooling modules (max / average / global-average) over NCHW maps, plus a
 // bilinear Upsample module (DeepLab head).
 #ifndef EGERIA_SRC_NN_POOLING_H_
 #define EGERIA_SRC_NN_POOLING_H_
@@ -50,18 +50,6 @@ class GlobalAvgPool : public Module {
  private:
   int64_t in_h_ = 0;
   int64_t in_w_ = 0;
-};
-
-// [b,c,h,w] -> [b, c*h*w].
-class Flatten : public Module {
- public:
-  explicit Flatten(std::string name) : Module(std::move(name)) {}
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  std::unique_ptr<Module> CloneForInference(const InferenceFactory& factory) const override;
-
- private:
-  std::vector<int64_t> input_shape_;
 };
 
 // Bilinear upsample to a fixed output size.

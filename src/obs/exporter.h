@@ -8,7 +8,7 @@
 //                 long ago; 503 once iterations have started and then stall
 //                 past the staleness threshold.
 //   GET /trace    Bounded span snapshot as Chrome trace JSON (non-clearing;
-//                 append ?drain=1 to also clear the buffers, like SIGUSR2).
+//                 append ?drain=1 to also clear the buffers).
 //
 // The server runs on its own background thread and only READS the obs layer —
 // it never touches the transport or emits collectives, so scraping a training

@@ -1,16 +1,12 @@
 #include "src/obs/metrics.h"
 
-#include <csignal>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
-
-#include "src/obs/trace.h"
 
 namespace egeria {
 namespace obs {
@@ -29,12 +25,6 @@ Registry& GetRegistry() {
   static Registry* r = new Registry();  // leaked: usable during exit
   return *r;
 }
-
-volatile std::sig_atomic_t g_dump_requested = 0;
-volatile std::sig_atomic_t g_trace_flush_requested = 0;
-
-void DumpSignalHandler(int) { g_dump_requested = 1; }
-void TraceFlushSignalHandler(int) { g_trace_flush_requested = 1; }
 
 void FormatSeconds(char* buf, size_t cap, double s) {
   std::snprintf(buf, cap, "%.6f", s);
@@ -203,61 +193,6 @@ std::string SnapshotText() {
   return out.str();
 }
 
-std::string SnapshotJson() {
-  Registry& reg = GetRegistry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  std::ostringstream out;
-  char num[64];
-  out << "{\"counters\":{";
-  bool first = true;
-  for (const auto& kv : reg.counters) {
-    out << (first ? "" : ",") << "\"" << kv.first
-        << "\":" << kv.second->Get();
-    first = false;
-  }
-  out << "},\"gauges\":{";
-  first = true;
-  for (const auto& kv : reg.gauges) {
-    FormatSeconds(num, sizeof(num), kv.second->Get());
-    out << (first ? "" : ",") << "\"" << kv.first << "\":" << num;
-    first = false;
-  }
-  out << "},\"histograms\":{";
-  first = true;
-  for (const auto& kv : reg.histograms) {
-    const Histogram& h = *kv.second;
-    FormatSeconds(num, sizeof(num), h.Sum());
-    out << (first ? "" : ",") << "\"" << kv.first
-        << "\":{\"count\":" << h.Count() << ",\"sum_s\":" << num;
-    FormatSeconds(num, sizeof(num), h.Quantile(0.50));
-    out << ",\"p50_s\":" << num;
-    FormatSeconds(num, sizeof(num), h.Quantile(0.90));
-    out << ",\"p90_s\":" << num;
-    FormatSeconds(num, sizeof(num), h.Quantile(0.99));
-    out << ",\"p99_s\":" << num;
-    out << ",\"buckets\":[";
-    bool bfirst = true;
-    for (int i = -1; i <= Histogram::kNumBuckets; ++i) {
-      int64_t c = h.BucketCount(i);
-      if (c == 0) continue;
-      double edge = Histogram::BucketUpperEdge(i);
-      if (i >= Histogram::kNumBuckets) {
-        std::snprintf(num, sizeof(num), "[\"inf\",%lld]",
-                      static_cast<long long>(c));
-      } else {
-        std::snprintf(num, sizeof(num), "[%.6g,%lld]", edge,
-                      static_cast<long long>(c));
-      }
-      out << (bfirst ? "" : ",") << num;
-      bfirst = false;
-    }
-    out << "]}";
-    first = false;
-  }
-  out << "}}";
-  return out.str();
-}
-
 MetricsSnapshot SnapshotAll() {
   Registry& reg = GetRegistry();
   std::lock_guard<std::mutex> lock(reg.mu);
@@ -296,52 +231,6 @@ void ResetAllForTest() {
   for (auto& kv : reg.counters) kv.second->Reset();
   for (auto& kv : reg.gauges) kv.second->Set(0.0);
   for (auto& kv : reg.histograms) kv.second->Reset();
-}
-
-void InstallDumpSignalHandler() {
-#ifdef SIGUSR1
-  std::signal(SIGUSR1, DumpSignalHandler);
-#endif
-#ifdef SIGUSR2
-  std::signal(SIGUSR2, TraceFlushSignalHandler);
-#endif
-}
-
-bool DumpRequested() {
-  if (g_dump_requested == 0) return false;
-  g_dump_requested = 0;
-  return true;
-}
-
-bool TraceFlushRequested() {
-  if (g_trace_flush_requested == 0) return false;
-  g_trace_flush_requested = 0;
-  return true;
-}
-
-void MaybeDumpOnSignal(const char* where) {
-  if (DumpRequested()) {
-    std::string snapshot = SnapshotText();
-    std::fprintf(stderr,
-                 "=== EGERIA METRICS (SIGUSR1, %s) ===\n%s=== end ===\n",
-                 where, snapshot.c_str());
-    std::fflush(stderr);
-  }
-  if (TraceFlushRequested()) {
-    // SIGUSR2 = SIGUSR1 + flush (and clear) the trace ring, so a live run's
-    // timeline so far can be pulled without stopping it.
-    std::string snapshot = SnapshotText();
-    const char* dir = std::getenv("EGERIA_TRACE_DIR");
-    std::string path = (dir != nullptr && dir[0] != '\0') ? dir : ".";
-    path += "/trace_rank" + std::to_string(trace::ProcessRank()) +
-            ".sigusr2.json";
-    const bool ok = trace::Flush(path);
-    std::fprintf(stderr,
-                 "=== EGERIA METRICS (SIGUSR2, %s) ===\n%strace_flush=%s %s\n"
-                 "=== end ===\n",
-                 where, snapshot.c_str(), ok ? "ok" : "FAILED", path.c_str());
-    std::fflush(stderr);
-  }
 }
 
 }  // namespace obs

@@ -1,6 +1,6 @@
 // Process-wide metrics registry: counters, gauges, and histograms with fixed
-// log-scale (power-of-two) buckets, plus structured text/JSON snapshots dumped
-// at end-of-run and on SIGUSR1.
+// log-scale (power-of-two) buckets, plus a text snapshot dumped at end-of-run
+// and a structured one that the live exporter renders.
 //
 // All instruments are lock-free on the update path (plain atomics; the
 // histogram sum is integer nanoseconds so fetch_add works and totals are
@@ -103,10 +103,6 @@ int64_t HistogramCount(const std::string& name);
 // Human-readable snapshot: one instrument per line, sorted by name.
 // Histograms print count/total/mean/p50/p90/p99 plus the non-empty buckets.
 std::string SnapshotText();
-// Machine-readable snapshot: {"counters":{...},"gauges":{...},
-// "histograms":{"name":{"count":N,"sum_s":S,"p50_s":…,"p90_s":…,"p99_s":…,
-// "buckets":[[edge,count],...]}}}.
-std::string SnapshotJson();
 
 // Structured enumeration of every instrument for renderers that need more
 // than a preformatted string (the Prometheus exporter). Values are read under
@@ -132,17 +128,6 @@ MetricsSnapshot SnapshotAll();
 
 // Zeroes every registered instrument. Tests only.
 void ResetAllForTest();
-
-// ------------------------------------------------- SIGUSR1/SIGUSR2 snapshot
-// Signal handling is poll-based to stay async-signal-safe: the handlers only
-// set flags; long-running loops call MaybeDumpOnSignal() once per iteration.
-// SIGUSR1 dumps SnapshotText() to stderr. SIGUSR2 does the same AND flushes
-// the trace ring to $EGERIA_TRACE_DIR/trace_rank<r>.sigusr2.json (clearing
-// the buffers), so a live run's timeline can be captured without stopping it.
-void InstallDumpSignalHandler();  // idempotent; installs both handlers
-bool DumpRequested();             // test-and-clear the SIGUSR1 pending flag
-bool TraceFlushRequested();       // test-and-clear the SIGUSR2 pending flag
-void MaybeDumpOnSignal(const char* where);
 
 }  // namespace obs
 }  // namespace egeria

@@ -888,32 +888,6 @@ void Gemm(const int8_t* a, const int8_t* b, int32_t* c, int64_t m, int64_t k,
   GemmDriver<I8Traits>(a, b, c, m, k, n, trans_a, trans_b, accumulate);
 }
 
-void Gemm(GemmDtype a_dtype, GemmDtype b_dtype, const void* a, const void* b,
-          void* c, int64_t m, int64_t k, int64_t n, bool trans_a, bool trans_b,
-          bool accumulate) {
-  if (a_dtype == GemmDtype::kI8 || b_dtype == GemmDtype::kI8) {
-    EGERIA_CHECK_MSG(a_dtype == GemmDtype::kI8 && b_dtype == GemmDtype::kI8,
-                     "Gemm: int8 cannot mix with float dtypes");
-    Gemm(static_cast<const int8_t*>(a), static_cast<const int8_t*>(b),
-         static_cast<int32_t*>(c), m, k, n, trans_a, trans_b, accumulate);
-    return;
-  }
-  float* cf = static_cast<float*>(c);
-  if (a_dtype == GemmDtype::kF32 && b_dtype == GemmDtype::kF32) {
-    Gemm(static_cast<const float*>(a), static_cast<const float*>(b), cf, m, k, n,
-         trans_a, trans_b, accumulate);
-  } else if (a_dtype == GemmDtype::kF16 && b_dtype == GemmDtype::kF16) {
-    Gemm(static_cast<const _Float16*>(a), static_cast<const _Float16*>(b), cf, m,
-         k, n, trans_a, trans_b, accumulate);
-  } else if (a_dtype == GemmDtype::kF32 && b_dtype == GemmDtype::kF16) {
-    Gemm(static_cast<const float*>(a), static_cast<const _Float16*>(b), cf, m, k,
-         n, trans_a, trans_b, accumulate);
-  } else {
-    Gemm(static_cast<const _Float16*>(a), static_cast<const float*>(b), cf, m, k,
-         n, trans_a, trans_b, accumulate);
-  }
-}
-
 void BatchedGemm(const float* a, const float* b, float* c, int64_t batch, int64_t m,
                  int64_t k, int64_t n, bool trans_a, bool trans_b, bool accumulate) {
   if (batch <= 0) {

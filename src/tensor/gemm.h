@@ -8,8 +8,7 @@
 // threading model — see src/tensor/README.md for the blocking parameters,
 // packing layouts, and accumulation rules.
 //
-// Three storage dtypes are supported, selected by overload (or dynamically via
-// the GemmDtype-tagged entry point):
+// Three storage dtypes are supported, selected by overload:
 //   fp32         — float operands, fp32 accumulation (the training path).
 //   fp16         — _Float16 storage for either or both operands; panels are
 //                  converted to fp32 at pack time so the fp32 microkernel runs
@@ -29,9 +28,6 @@
 #include <cstdint>
 
 namespace egeria {
-
-// Storage dtype tag for the dynamic Gemm entry point.
-enum class GemmDtype : uint8_t { kF32, kF16, kI8 };
 
 // C[m,n] (+)= op(A)[m,k] * op(B)[k,n].
 // A is stored row-major as [m,k] (or [k,m] when trans_a); B as [k,n] (or [n,k]
@@ -57,13 +53,6 @@ void Gemm(const _Float16* a, const float* b, float* c, int64_t m, int64_t k,
 // int8 inputs). Dequantization / per-channel rescale is the caller's job.
 void Gemm(const int8_t* a, const int8_t* b, int32_t* c, int64_t m, int64_t k,
           int64_t n, bool trans_a, bool trans_b, bool accumulate);
-
-// Dynamic-dtype entry point: dispatches on the operand dtype tags. Supported
-// combinations: (f32,f32) and any mix of f32/f16 write a float C; (i8,i8)
-// writes an int32 C. Anything else CHECK-fails.
-void Gemm(GemmDtype a_dtype, GemmDtype b_dtype, const void* a, const void* b,
-          void* c, int64_t m, int64_t k, int64_t n, bool trans_a, bool trans_b,
-          bool accumulate);
 
 // Batched variant over `batch` independent problems laid out contiguously:
 // C[bi] (+)= op(A[bi]) * op(B[bi]). Parallelizes across batch items (each item

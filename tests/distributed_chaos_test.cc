@@ -238,17 +238,17 @@ TEST(DistributedChaos, ShrinkOnRestartResumesAtSmallerWorldBitwise) {
   ref.cfg.epochs = kEpochs;
   ref.cfg.ckpt.dir = ckpt_ref;
   ref.cfg.ckpt.interval_iters = 4;
-  const DistTrainResult inproc =
+  const DistTrainResult in_process =
       TrainDataParallel(ref.make_model, *ref.train, *ref.val, ref.cfg);
-  ASSERT_EQ(inproc.resumed_from_iter, 4);
-  ASSERT_TRUE(inproc.replicas_consistent);
+  ASSERT_EQ(in_process.resumed_from_iter, 4);
+  ASSERT_TRUE(in_process.replicas_consistent);
 
   const uint64_t hash0 = ParseHash(run.rank_results[0]);
   ASSERT_NE(hash0, 0U);
   for (int r = 0; r < world - 1; ++r) {
     EXPECT_EQ(ParseHash(run.rank_results[static_cast<size_t>(r)]), hash0);
   }
-  EXPECT_EQ(hash0, inproc.params_hash)
+  EXPECT_EQ(hash0, in_process.params_hash)
       << "shrunken restart diverged from the in-process elastic reference";
   if (!HasFailure()) {
     std::filesystem::remove_all(options.log_dir);

@@ -7,23 +7,15 @@
 // TransportStatus on the affected ranks, never as a hang or a crash.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/distributed/transport/fault_injection.h"
 #include "src/distributed/transport/frame_digest.h"
-#include "src/distributed/transport/inproc_transport.h"
 #include "src/distributed/transport/tcp_transport.h"
+#include "tests/tcp_world.h"
 
 namespace egeria {
 namespace {
@@ -128,52 +120,7 @@ TEST(FaultPlan, SeedExpansionIsDeterministicAndTargetsOneRank) {
   }
 }
 
-// ---- World harness over both backends ----
-
-enum class TransportCase { kInproc, kTcp };
-
-const char* TransportName(TransportCase c) {
-  return c == TransportCase::kInproc ? "inproc" : "tcp";
-}
-
-// Runs `body(rank, transport)` on `world` rank threads wired by the given
-// backend (inproc mailboxes or real localhost TCP sockets). On TCP, rank r's
-// transport fires the faults of (*plans)[r] when `plans` is given.
-void RunWorld(TransportCase kind, int world,
-              const std::function<void(int, Transport&)>& body,
-              std::vector<FaultPlan>* plans = nullptr) {
-  std::vector<std::thread> threads;
-  if (kind == TransportCase::kInproc) {
-    InprocTransportGroup group(world);
-    for (int r = 0; r < world; ++r) {
-      threads.emplace_back([&, r] { body(r, group.Get(r)); });
-    }
-    for (auto& t : threads) {
-      t.join();
-    }
-    return;
-  }
-  char tmpl[] = "/tmp/egeria-fault-test-XXXXXX";
-  ASSERT_NE(nullptr, mkdtemp(tmpl));
-  const std::string rendezvous = std::string(tmpl) + "/rendezvous";
-  for (int r = 0; r < world; ++r) {
-    threads.emplace_back([&, r] {
-      TcpTransportOptions opts;
-      opts.rank = r;
-      opts.world = world;
-      opts.rendezvous_file = rendezvous;
-      opts.io_timeout_s = 30.0;  // backstop: these tests must not hang
-      opts.faults = plans != nullptr ? &(*plans)[static_cast<size_t>(r)] : nullptr;
-      std::unique_ptr<Transport> transport = MakeTcpTransport(opts);
-      body(r, *transport);
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  unlink(rendezvous.c_str());
-  rmdir(tmpl);
-}
+// ---- Collective error paths over a TCP world (tests/tcp_world.h) ----
 
 // Ring-neighbor of the faulty rank: the receiver that must detect the fault.
 int NextRank(int rank, int world) { return (rank + 1) % world; }
@@ -187,7 +134,7 @@ std::vector<TransportStatus> RingRounds(int world, int faulty,
   std::vector<TransportStatus> first_error(static_cast<size_t>(world));
   std::vector<FaultPlan> plans(static_cast<size_t>(world));
   plans[static_cast<size_t>(faulty)] = plan;
-  RunWorld(TransportCase::kTcp, world, [&](int rank, Transport& transport) {
+  RunTcpWorld(world, [&](int rank, Transport& transport) {
     std::vector<uint8_t> send(96);
     std::vector<uint8_t> recv(96);
     for (int64_t iter = 1; iter <= iters; ++iter) {
@@ -300,41 +247,38 @@ TEST(TransportFaults, DroppedConnectionSurfacesTypedErrorsEverywhere) {
   }
 }
 
-// A peer that disappears between collectives (clean socket close / poisoned
-// group, no fault injected): Barrier, Broadcast and a ring step on the
-// survivors must return typed errors, never hang. On inproc this is what
-// pins the poisoned group failing ring steps.
+// A peer that disappears between collectives (clean socket close, no fault
+// injected): Barrier, Broadcast and a ring step on the survivors must return
+// typed errors, never hang.
 TEST(TransportFaults, PeerExitFailsBarrierAndBroadcastWithTypedErrors) {
-  for (TransportCase kind : {TransportCase::kInproc, TransportCase::kTcp}) {
-    for (int world : {2, 3}) {
-      std::vector<std::vector<TransportStatus>> statuses(static_cast<size_t>(world));
-      RunWorld(kind, world, [&](int rank, Transport& transport) {
-        if (rank == world - 1) {
-          // Dies "mid-run": poison + close without participating further.
-          transport.LocalAbort(TransportStatus::Error(
-              TransportError::kPeerClosed, "test: rank exits early"));
-          return;
-        }
-        std::vector<TransportStatus>& mine = statuses[static_cast<size_t>(rank)];
-        mine.push_back(transport.Barrier());
-        const uint32_t word = 0x5A5A5A5AU;
-        std::vector<uint8_t> out;
-        mine.push_back(transport.Broadcast(
-            rank == 0 ? &word : nullptr, rank == 0 ? sizeof(word) : 0, &out));
-        std::vector<uint8_t> send(16, static_cast<uint8_t>(rank));
-        std::vector<uint8_t> recv(16);
-        mine.push_back(transport.RingExchange(send.data(), 16, recv.data(), 16));
-      });
-      for (int r = 0; r + 1 < world; ++r) {
-        const std::vector<TransportStatus>& mine = statuses[static_cast<size_t>(r)];
-        ASSERT_EQ(mine.size(), 3U);
-        for (size_t op = 0; op < mine.size(); ++op) {
-          EXPECT_TRUE(mine[op].code == TransportError::kPeerClosed ||
-                      mine[op].code == TransportError::kAborted)
-              << TransportName(kind) << " world " << world << " rank " << r
-              << " collective " << op << ": "
-              << (mine[op].ok() ? "ok" : mine[op].message);
-        }
+  for (int world : {2, 3}) {
+    std::vector<std::vector<TransportStatus>> statuses(static_cast<size_t>(world));
+    RunTcpWorld(world, [&](int rank, Transport& transport) {
+      if (rank == world - 1) {
+        // Dies "mid-run": fails its endpoint and closes its sockets without
+        // participating further.
+        transport.LocalAbort(TransportStatus::Error(
+            TransportError::kPeerClosed, "test: rank exits early"));
+        return;
+      }
+      std::vector<TransportStatus>& mine = statuses[static_cast<size_t>(rank)];
+      mine.push_back(transport.Barrier());
+      const uint32_t word = 0x5A5A5A5AU;
+      std::vector<uint8_t> out;
+      mine.push_back(transport.Broadcast(
+          rank == 0 ? &word : nullptr, rank == 0 ? sizeof(word) : 0, &out));
+      std::vector<uint8_t> send(16, static_cast<uint8_t>(rank));
+      std::vector<uint8_t> recv(16);
+      mine.push_back(transport.RingExchange(send.data(), 16, recv.data(), 16));
+    });
+    for (int r = 0; r + 1 < world; ++r) {
+      const std::vector<TransportStatus>& mine = statuses[static_cast<size_t>(r)];
+      ASSERT_EQ(mine.size(), 3U);
+      for (size_t op = 0; op < mine.size(); ++op) {
+        EXPECT_TRUE(mine[op].code == TransportError::kPeerClosed ||
+                    mine[op].code == TransportError::kAborted)
+            << "world " << world << " rank " << r << " collective " << op << ": "
+            << (mine[op].ok() ? "ok" : mine[op].message);
       }
     }
   }
@@ -346,7 +290,7 @@ TEST(TransportFaults, IntegrityFailureLatchesTheEndpoint) {
   std::vector<FaultPlan> plans(2);
   plans[0] = ParsePlan("corrupt:1", 2, 0);
   plans[0].BeginIteration(1);
-  RunWorld(TransportCase::kTcp, 2, [&](int rank, Transport& transport) {
+  RunTcpWorld(2, [&](int rank, Transport& transport) {
     std::vector<uint8_t> buf(64, static_cast<uint8_t>(rank));
     std::vector<uint8_t> got(64);
     const TransportStatus st = transport.RingExchange(buf.data(), 64, got.data(), 64);

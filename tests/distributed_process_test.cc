@@ -249,10 +249,10 @@ TEST(DistributedProcess, ElasticRestartWorld4To3MatchesInProcessReference) {
   ref.cfg.enable_egeria = true;
   ref.cfg.ckpt.dir = dir_ref;
   ref.cfg.ckpt.interval_iters = 6;
-  const DistTrainResult inproc =
+  const DistTrainResult in_process =
       TrainDataParallel(ref.make_model, *ref.train, *ref.val, ref.cfg);
-  ASSERT_EQ(inproc.resumed_from_iter, 24);
-  ASSERT_TRUE(inproc.replicas_consistent);
+  ASSERT_EQ(in_process.resumed_from_iter, 24);
+  ASSERT_TRUE(in_process.replicas_consistent);
 
   // Elastic restart as real OS processes over TCP.
   SpawnOptions options;
@@ -272,8 +272,8 @@ TEST(DistributedProcess, ElasticRestartWorld4To3MatchesInProcessReference) {
   }
   // The elastic hash pin: 3 OS processes resuming a world-4 checkpoint ==
   // the in-process world-3 resume, bit for bit.
-  EXPECT_EQ(hash0, inproc.params_hash);
-  EXPECT_EQ(ParseInt(run.rank_results[0], "final_frontier"), inproc.final_frontier);
+  EXPECT_EQ(hash0, in_process.params_hash);
+  EXPECT_EQ(ParseInt(run.rank_results[0], "final_frontier"), in_process.final_frontier);
   if (!HasFailure()) {
     std::filesystem::remove_all(log_dir);
   }

@@ -24,11 +24,11 @@
 #include "src/data/synthetic_text.h"
 #include "src/distributed/dist_trainer.h"
 #include "src/distributed/dist_workload.h"
-#include "src/distributed/transport/inproc_transport.h"
 #include "src/models/resnet.h"
 #include "src/models/transformer.h"
 #include "src/nn/dropout.h"
 #include "src/optim/lr_scheduler.h"
+#include "tests/tcp_world.h"
 
 namespace egeria {
 namespace {
@@ -415,24 +415,17 @@ TEST(FeatureStoreTrainer, TwoRankRingWorldCachedRunBitwiseIdentical) {
     TrainConfig cfg = StaticFreezeConfig(/*epochs=*/10);
     cfg.batch_size = w.cfg.batch_size;
     cfg.egeria.enable_cache = enable_cache;
-    InprocTransportGroup group(kWorld);
     std::vector<TrainResult> results(kWorld);
     std::vector<uint64_t> hashes(kWorld);
-    std::vector<std::thread> ranks;
-    for (int r = 0; r < kWorld; ++r) {
-      ranks.emplace_back([&, r] {
-        std::unique_ptr<ChainModel> model = w.make_model();
-        RingSync sync(group.Get(r), cfg.momentum, cfg.weight_decay);
-        StaticFreezeHook hook(/*epoch=*/1, /*stage=*/0);
-        Trainer trainer(*model, *w.train, *w.val, cfg, &sync);
-        trainer.SetFreezeHook(&hook);
-        results[static_cast<size_t>(r)] = trainer.Run();
-        hashes[static_cast<size_t>(r)] = HashModelState(*model);
-      });
-    }
-    for (std::thread& t : ranks) {
-      t.join();
-    }
+    RunTcpWorld(kWorld, [&](int r, Transport& transport) {
+      std::unique_ptr<ChainModel> model = w.make_model();
+      RingSync sync(transport, cfg.momentum, cfg.weight_decay);
+      StaticFreezeHook hook(/*epoch=*/1, /*stage=*/0);
+      Trainer trainer(*model, *w.train, *w.val, cfg, &sync);
+      trainer.SetFreezeHook(&hook);
+      results[static_cast<size_t>(r)] = trainer.Run();
+      hashes[static_cast<size_t>(r)] = HashModelState(*model);
+    });
     return std::make_pair(results, hashes);
   };
   const auto [on, hashes_on] = run(true);

@@ -276,32 +276,6 @@ TEST_P(GemmConformanceTest, AllDtypeTransposeAccumulateModesMatchReference) {
 
 INSTANTIATE_TEST_SUITE_P(Shapes, GemmConformanceTest, ::testing::ValuesIn(kCases));
 
-TEST(GemmTest, TaggedDispatchMatchesTypedOverloads) {
-  Rng rng(1234);
-  const int64_t m = 23;
-  const int64_t k = 41;
-  const int64_t n = 19;
-  const std::vector<float> af = RandomVec(m * k, rng);
-  const std::vector<float> bf = RandomVec(k * n, rng);
-  const std::vector<_Float16> bh = ToF16(bf);
-  std::vector<float> typed(static_cast<size_t>(m * n), 0.0F);
-  std::vector<float> tagged = typed;
-  Gemm(af.data(), bh.data(), typed.data(), m, k, n, false, false, false);
-  Gemm(GemmDtype::kF32, GemmDtype::kF16, af.data(), bh.data(), tagged.data(), m,
-       k, n, false, false, false);
-  EXPECT_EQ(0, std::memcmp(typed.data(), tagged.data(), typed.size() * sizeof(float)));
-
-  const std::vector<int8_t> ai = ToI8(af);
-  const std::vector<int8_t> bi = ToI8(bf);
-  std::vector<int32_t> ityped(static_cast<size_t>(m * n), 0);
-  std::vector<int32_t> itagged = ityped;
-  Gemm(ai.data(), bi.data(), ityped.data(), m, k, n, false, true, false);
-  Gemm(GemmDtype::kI8, GemmDtype::kI8, ai.data(), bi.data(), itagged.data(), m,
-       k, n, false, true, false);
-  EXPECT_EQ(0,
-            std::memcmp(ityped.data(), itagged.data(), ityped.size() * sizeof(int32_t)));
-}
-
 TEST(GemmTest, BatchedMatchesPerItem) {
   Rng rng(99);
   const int64_t batch = 5;

@@ -74,10 +74,15 @@ TEST(ModuleSemanticsDeathTest, BackwardAfterEvalForwardChecksTheCachedShape) {
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
   Rng rng(9);
   Conv2d conv("conv", 3, 3, 3, rng);
+  DepthwiseConv2d depthwise("depthwise", 3, 3, rng);
   BatchNorm2d bn("bn", 3);
   ReLU relu("relu");
   ReLU6 relu6("relu6");
-  for (Module* m : std::vector<Module*>{&conv, &bn, &relu, &relu6}) {
+  GeLU gelu("gelu");
+  Sigmoid sigmoid("sigmoid");
+  Tanh tanh_act("tanh");
+  for (Module* m : std::vector<Module*>{&conv, &depthwise, &bn, &relu, &relu6, &gelu,
+                                        &sigmoid, &tanh_act}) {
     m->SetTraining(true);
     m->Forward(Tensor::Randn({2, 3, 5, 5}, rng));
     m->SetTraining(false);

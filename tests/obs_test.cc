@@ -323,11 +323,6 @@ TEST_F(ObsTest, SnapshotFormats) {
   EXPECT_NE(text.find("p50_s=0.000768"), std::string::npos);
   EXPECT_NE(text.find("p90_s=0.000973"), std::string::npos);
   EXPECT_NE(text.find("p99_s="), std::string::npos);
-  const std::string json = obs::SnapshotJson();
-  EXPECT_NE(json.find("\"obs_test.snap_counter\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(json.find("\"p50_s\":0.000768"), std::string::npos);
-  EXPECT_NE(json.find("\"p99_s\":"), std::string::npos);
 }
 
 // ---- trainer-level pin: tracing must be a pure observer --------------------

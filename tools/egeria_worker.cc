@@ -17,8 +17,9 @@
 //
 //   EGERIA_ABORT rank=.. code=.. reason=".."
 //
-// and exits 4. The launcher's fail-fast supervision then kills the survivors
-// (who are themselves aborting after the heartbeat broadcast) and, under
+// and exits 4 (kCleanAbortExitCode). The launcher gives the survivors, who are
+// themselves aborting after the heartbeat broadcast, a short grace to do the
+// same, kills those still running and, under
 // SpawnWorldWithRecovery, relaunches the world to resume from the latest
 // complete checkpoint.
 //
@@ -71,6 +72,7 @@
 
 #include "src/distributed/dist_trainer.h"
 #include "src/distributed/dist_workload.h"
+#include "src/distributed/process_launcher.h"
 #include "src/distributed/transport/fault_injection.h"
 #include "src/distributed/transport/tcp_transport.h"
 #include "src/obs/exporter.h"
@@ -348,7 +350,7 @@ int Main(int argc, char** argv) {
                 r.status.code_name(), r.status.message.c_str());
     std::fflush(stdout);
     FlushObservability(rank);
-    return 4;
+    return kCleanAbortExitCode;
   }
 
   for (const DistReshardEvent& ev : r.reshard_events) {
