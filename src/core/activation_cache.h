@@ -1,132 +1,81 @@
-// Persistent frozen-feature store with prefetching (paper S4.3, Fig. 7, and
-// "Rethinking the Potential of Layer Freezing": frozen layers do no forward
-// compute at all once their boundary outputs are cached per sample).
+// The frozen-feature store (paper S4.3, Fig. 7, and "Rethinking the Potential
+// of Layer Freezing": frozen layers do no forward compute at all once their
+// boundary outputs are cached per sample, at a storage cost).
 //
-// When the frozen prefix covers stages [0, l), the boundary activation of stage l-1
-// is a pure function of the (deterministically augmented) input sample, so it is
-// stored to disk keyed by sample id, and upcoming batches — known in advance from
-// the data loader — are prefetched into the in-memory table. The in-memory table
-// keeps only the most recent few mini-batches ("the cache only stores the recent
-// five mini-batches for minimal memory usage").
+// When the frozen prefix covers stages [0, l), the boundary activation of stage
+// l-1 is a pure function of the (deterministically augmented) input sample, so
+// the store keeps it per sample id. The paper's GPU trainer holds the recent
+// five mini-batches on the device and prefetches the rest from host storage;
+// this trainer runs on the CPU, where host memory is the tier that serves. So
+// the store keeps one dense table for the current key:
 //
-// The store tracks exactly one composite key at a time:
+//   (boundary stage, generation) -> [num_samples, boundary...] tensor
+//                                   + one presence bit per sample id
 //
-//   (spill format version, boundary stage, generation)
+// `generation` is a caller-computed validity token (the Trainer mixes the
+// frozen-prefix parameter hash with the data layer's augmentation signature).
+// SetKey with a changed key, and Clear, free the table.
 //
-// The first two are encoded in every spill filename
-// (v<fmt>_s<stage>_<sample id>.egt); `generation` is a caller-computed
-// validity token (the Trainer mixes the frozen-prefix parameter hash with the
-// data layer's augmentation signature) recorded in a store manifest. SetKey with
-// a changed component invalidates; SetKey on a fresh instance whose directory
-// already holds a manifest matching the full key ADOPTS the surviving spill
-// files instead of sweeping them — this is what lets the store survive a crash
-// and serve again after checkpoint resume.
+// The table is allocated on the first store under a key. If it would exceed
+// the byte budget, the store allocates nothing and never serves under that
+// key: StoreBatch reports the refusal and the caller recomputes the prefix.
 //
-// Disk capacity: stores beyond max_disk_bytes evict the oldest entries of the
-// current key (FIFO). An evicted sample is forgotten entirely (memory + disk)
-// and simply misses again later. Corrupt spill files — partial writes from a
-// crash, bit rot — degrade to misses via the checksummed reader, never to
-// garbage activations.
+// Only the owning trainer's thread touches a store; each rank has its own.
 #ifndef EGERIA_SRC_CORE_ACTIVATION_CACHE_H_
 #define EGERIA_SRC_CORE_ACTIVATION_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/tensor/tensor.h"
-#include "src/util/thread_pool.h"
 
 namespace egeria {
 
 struct CacheStats {
-  int64_t memory_hits = 0;
+  int64_t hits = 0;           // FetchBatch calls served
+  int64_t misses = 0;         // FetchBatch calls with an id absent
+  int64_t stores = 0;         // samples newly stored
+  int64_t bytes_written = 0;  // bytes of the samples stored under the current key
+  int64_t table_bytes = 0;    // the current key's table; 0 before a store or if refused
+  // Always 0: the store has no disk tier. perfbench's runner still reads it
+  // (ROADMAP item 1 removes the read).
   int64_t disk_hits = 0;
-  int64_t misses = 0;
-  int64_t stores = 0;
-  int64_t bytes_written = 0;
-  int64_t bytes_read = 0;
-  int64_t prefetch_loads = 0;
-  int64_t evictions = 0;  // disk entries dropped to stay under max_disk_bytes
-  int64_t adopted = 0;    // spill files adopted from a previous incarnation
 };
 
 class ActivationCache {
  public:
-  // Filename/manifest schema version. Bump on any incompatible change to the
-  // spill layout; old files then never match the expected prefix and are swept.
-  static constexpr uint32_t kSpillFormatVersion = 2;
+  // Sample ids are in [0, num_samples). `budget_bytes` bounds the table.
+  ActivationCache(int64_t num_samples, int64_t budget_bytes);
 
-  // `dir`: on-disk location (created if absent). `memory_entries`: max per-sample
-  // slices kept in RAM. `max_disk_bytes`: storage budget (paper: "users can set
-  // the storage limit"). `persistent`: keep the directory on destruction so a
-  // later incarnation (crash restart, checkpoint resume) can adopt it.
-  ActivationCache(std::string dir, int64_t memory_entries,
-                  int64_t max_disk_bytes = int64_t{4} << 30, bool persistent = false);
-  ~ActivationCache();
-
-  // Declares the composite key being cached. A changed key invalidates
-  // everything — except that a key matching the directory's manifest adopts
-  // the surviving spill files (crash/resume continuity). Calling with the
-  // current key is a cheap no-op (safe per iteration).
+  // Declares the key being cached; a changed key frees the table. Calling
+  // with the current key is a cheap no-op (safe per iteration).
   void SetKey(int stage, uint64_t generation);
-  int stage() const;
-  uint64_t generation() const;
+  int stage() const { return stage_; }
 
-  // Drops all cached state under the current key (prefix weights changed).
+  // Frees the table, keeping the key (prefix weights changed).
   void Clear();
 
-  // True if every id is available (memory or disk).
+  // True if every id is stored under the current key.
   bool HasAll(const std::vector<int64_t>& ids) const;
 
-  // Assembles the batch activation [b, ...] from per-sample slices; undefined tensor
-  // if any slice is missing.
+  // Assembles the batch activation [b, ...] from the ids' rows; undefined
+  // tensor if any id is absent.
   Tensor FetchBatch(const std::vector<int64_t>& ids);
 
-  // Splits [b, ...] into per-sample slices, stores to memory + disk (evicting
-  // oldest entries past the disk budget).
-  void StoreBatch(const std::vector<int64_t>& ids, const Tensor& activations);
+  // Copies row i of `activations` [b, ...] into the table under ids[i].
+  // Returns false, storing nothing, if the key's table would exceed the budget.
+  bool StoreBatch(const std::vector<int64_t>& ids, const Tensor& activations);
 
-  // Schedules background loads of ids from disk into memory.
-  void PrefetchAsync(const std::vector<int64_t>& ids);
-
-  CacheStats Stats() const;
+  CacheStats Stats() const { return stats_; }
 
  private:
-  std::string PathForLocked(int64_t id) const;
-  void InsertMemoryLocked(int64_t id, Tensor slice);
-  // Drops oldest disk entries until `incoming_bytes` fits; false if it cannot.
-  bool EvictForLocked(int64_t incoming_bytes);
-  void SweepDirectory();
-  // Registers every manifest-matching spill file already in the directory.
-  void AdoptDirectory();
-  bool ManifestMatches() const;
-  void WriteManifest() const;
-
-  std::string dir_;
-  int64_t memory_entries_;
-  int64_t max_disk_bytes_;
-  bool persistent_;
+  int64_t num_samples_;
+  int64_t budget_bytes_;
   int stage_ = -1;
   uint64_t generation_ = 0;
-  bool configured_ = false;
-
-  mutable std::mutex mutex_;
-  std::unordered_map<int64_t, Tensor> memory_;
-  std::deque<int64_t> insertion_order_;
-  std::unordered_map<int64_t, int64_t> on_disk_;  // id -> spill bytes
-  std::deque<int64_t> disk_order_;                // FIFO eviction order
-  int64_t disk_bytes_ = 0;
+  Tensor table_;               // [num_samples, boundary...]; undefined until stored
+  std::vector<bool> present_;  // one bit per sample id while table_ is defined
   CacheStats stats_;
-  // Bumped on every key change / Clear; in-flight prefetches and disk fetches
-  // compare against their snapshot so a stale load never lands under a new key.
-  std::atomic<uint64_t> key_epoch_{0};
-  std::unique_ptr<ThreadPool> prefetcher_;
 };
 
 }  // namespace egeria

@@ -3,7 +3,6 @@
 #define EGERIA_SRC_CORE_CONFIG_H_
 
 #include <cstdint>
-#include <string>
 
 #include "src/nn/module.h"
 #include "src/quant/quantized_modules.h"
@@ -42,17 +41,11 @@ struct EgeriaConfig {
   // ~2x window_w is a good default.
   int ref_update_evals = 10;
 
-  // Forward-pass skipping via the persistent frozen-feature store (S4.3).
-  // cache_dir empty: with checkpointing enabled the store lives under
-  // <ckpt.dir>/feature_store and survives crash/resume (adopted back by its
-  // generation-keyed manifest); otherwise an ephemeral per-process temp
-  // directory is used. A non-empty cache_dir is always treated as persistent.
-  // In a world of W > 1 ranks every rank keeps its own store, in the chosen
-  // directory suffixed "_r<rank>".
-  // Its memory tier, disk budget and prefetch depth are constants of the
-  // Trainer (trainer.cc).
+  // Forward-pass skipping via the frozen-feature store (S4.3): an in-memory
+  // table of the frozen boundary per sample. In a world of W > 1 ranks every
+  // rank keeps its own store. Its byte budget is a constant of the Trainer
+  // (trainer.cc).
   bool enable_cache = true;
-  std::string cache_dir;
 
   // Never freeze the last `protected_tail` stages (the head / loss module).
   int protected_tail = 1;

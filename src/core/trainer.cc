@@ -1,10 +1,7 @@
 #include "src/core/trainer.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -21,24 +18,16 @@ namespace egeria {
 
 namespace {
 
-// The anonymous per-process store directory. Ranks of an in-process world
-// share the pid and the seed; the Trainer adds the rank at W > 1.
-std::string DefaultCacheDir(uint64_t seed) {
-  const auto base = std::filesystem::temp_directory_path() / "egeria_cache";
-  return (base / std::to_string(::getpid() * 1000003ULL + seed)).string();
-}
-
 // The bootstrapping stage ends when the training loss's change rate drops
 // below this (paper S4.2.2: "permissively set to 10%").
 constexpr double kBootstrapChangeRate = 0.10;
 
-// The feature store's in-memory tier holds the recent five mini-batches ("the
-// cache only stores the recent five mini-batches", S4.3); spilled batches are
-// evicted FIFO past the disk budget, and the prefetcher reads this many
-// batches ahead.
-constexpr int64_t kCacheMemoryBatches = 5;
-constexpr int64_t kCacheMaxDiskBytes = int64_t{4} << 30;
-constexpr int64_t kPrefetchBatches = 2;
+// The feature store's byte budget. The store holds a frozen boundary for every
+// sample the loader draws from in one host-memory table (S4.3's "recent five
+// mini-batches" are the device-side window of a GPU trainer; this trainer's
+// serving tier is host memory). A table past the budget is refused and the
+// prefix recomputed. The largest shipped table, ResNet-50's, is 3.0 MiB.
+constexpr int64_t kFeatureStoreBudgetBytes = int64_t{256} << 20;
 
 constexpr uint32_t kTrainerStateMagic = 0x52544745;  // 'EGTR'
 constexpr uint32_t kTrainerStateVersion = 2;  // iter/frontier: the manifest's
@@ -96,24 +85,8 @@ Trainer::Trainer(ChainModel& model, const Dataset& train_data, const Dataset& va
                                                        cfg_.lr_schedule->IsAnnealing());
     }
     if (cfg_.egeria.enable_cache) {
-      // Persistence policy: an explicit cache_dir is the caller opting into a
-      // durable store; with checkpointing on, the store lives next to the
-      // checkpoints so a crash/resume cycle re-adopts it (generation keys make
-      // adoption safe). Only the anonymous per-pid temp dir is ephemeral.
-      std::string dir = cfg_.egeria.cache_dir;
-      bool persistent = !dir.empty();
-      if (dir.empty() && cfg_.ckpt.enabled()) {
-        dir = cfg_.ckpt.dir + "/feature_store";
-        persistent = true;
-      }
-      if (dir.empty()) {
-        dir = DefaultCacheDir(cfg_.seed);
-      }
-      if (sync_->World() > 1) {
-        dir += "_r" + std::to_string(sync_->Rank());  // one store per rank
-      }
-      cache_ = std::make_unique<ActivationCache>(
-          dir, kCacheMemoryBatches * cfg_.batch_size, kCacheMaxDiskBytes, persistent);
+      cache_ = std::make_unique<ActivationCache>(loader_.num_samples(),
+                                                 kFeatureStoreBudgetBytes);
     }
   }
   if (cfg_.ckpt.enabled() && cfg_.ckpt.async_save) {
@@ -143,10 +116,7 @@ uint64_t Trainer::FrozenPrefixHash() {
 }
 
 uint64_t Trainer::CacheGeneration() const {
-  const uint64_t gen = Fnv1a64(&aug_signature_, sizeof(aug_signature_), frozen_prefix_hash_);
-  // Never 0: the remap keeps every generation the store ever recorded (and so
-  // every persisted manifest) bitwise what it was.
-  return gen == 0 ? 1 : gen;
+  return Fnv1a64(&aug_signature_, sizeof(aug_signature_), frozen_prefix_hash_);
 }
 
 void Trainer::SetFrontier(int frontier) {
@@ -423,8 +393,8 @@ TransportStatus Trainer::TryResume(int64_t* resumed_iter) {
                        wire::Read(is, result_.bootstrap_end_iter),
                    step_dir + ": malformed trainer.state");
   knowledge_stage_ = knowledge_stage != 0;
-  // Restored weights, same prefix => same prefix hash as the interrupted run,
-  // so a persistent feature store's manifest matches and is adopted.
+  // Restored weights, same prefix => same prefix hash as the interrupted run.
+  // The feature store starts empty and repopulates under that generation.
   SetFrontier(m->frontier);
   EGERIA_CHECK_MSG(sync_->RestoreState(model_, state, *m),
                    step_dir + ": optimizer state does not match this configuration");
@@ -624,8 +594,8 @@ TransportStatus Trainer::TrainEpoch(int epoch, int64_t first_step, EpochStats* e
     // the unsplit pass — same modules, same inputs, same order) so the time
     // spent inside the frozen prefix is measured separately whether the
     // feature store is on or off. The store serves only when the epoch stream
-    // is cacheable and the prefix is deterministic; otherwise it declines and
-    // the prefix is recomputed.
+    // is cacheable, the prefix is deterministic and its table fits the budget;
+    // otherwise it declines and the prefix is recomputed.
     model_.SetBatch(batch);
     Tensor logits;
     // The fp phase covers the whole forward block; the nested cache and
@@ -635,48 +605,19 @@ TransportStatus Trainer::TrainEpoch(int epoch, int64_t first_step, EpochStats* e
         frontier_ > 0 && frontier_ <= model_.MaxForwardSkipStage();
     const bool serve = cache_ != nullptr && skippable_frontier && store_cacheable_ &&
                        model_.PrefixForwardDeterministic(frontier_);
+    Tensor cached;
     if (serve) {
-      Tensor cached;
-      {
-        obs::ScopedPhase cache_phase("cache", "lookup", &cache_hist,
-                                     &result_.cache_seconds);
-        cache_->SetKey(frontier_ - 1, CacheGeneration());
-        if (cache_->HasAll(batch.sample_ids)) {
-          cached = cache_->FetchBatch(batch.sample_ids);
-        }
-      }
-      if (cached.Defined()) {
-        trace::AddInstant("cache", "fp_skip");
-        fp_skip_counter.Add(1);
-        logits = model_.ForwardFrom(frontier_, cached);
-        ++result_.fp_skip_count;
-        ++es->fp_skips;
-      } else {
-        double prefix_seconds = 0.0;
-        obs::ScopedPhase prefix_phase("trainer", "frozen_fp", &frozen_fp_hist,
-                                      &prefix_seconds);
-        Tensor boundary = model_.ForwardPrefix(frontier_ - 1, batch.input);
-        prefix_phase.Stop();
-        result_.frozen_fp_seconds += prefix_seconds;
-        es->frozen_fp_seconds += prefix_seconds;
-        logits = model_.ForwardFrom(frontier_, boundary);
-        obs::ScopedPhase store_phase("cache", "store", &cache_hist, &result_.cache_seconds);
-        cache_->StoreBatch(batch.sample_ids, boundary);
-      }
-      {
-        obs::ScopedPhase prefetch_phase("cache", "prefetch_submit", &cache_hist,
-                                        &result_.cache_seconds);
-        const int64_t ahead =
-            std::min(kPrefetchBatches, IterationsPerEpoch() - step - 1);
-        cache_->PrefetchAsync(
-            loader_.UpcomingIndices((step + 1) * world + rank, ahead, world));
-      }
+      obs::ScopedPhase cache_phase("cache", "lookup", &cache_hist, &result_.cache_seconds);
+      cache_->SetKey(frontier_ - 1, CacheGeneration());
+      cached = cache_->FetchBatch(batch.sample_ids);  // undefined on a miss
+    }
+    if (cached.Defined()) {
+      trace::AddInstant("cache", "fp_skip");
+      fp_skip_counter.Add(1);
+      logits = model_.ForwardFrom(frontier_, cached);
+      ++result_.fp_skip_count;
+      ++es->fp_skips;
     } else if (skippable_frontier) {
-      if (cache_ != nullptr) {
-        trace::AddInstant("cache", "decline");
-        decline_counter.Add(1);
-        ++result_.cache_declined_iters;
-      }
       double prefix_seconds = 0.0;
       obs::ScopedPhase prefix_phase("trainer", "frozen_fp", &frozen_fp_hist,
                                     &prefix_seconds);
@@ -685,6 +626,16 @@ TransportStatus Trainer::TrainEpoch(int epoch, int64_t first_step, EpochStats* e
       result_.frozen_fp_seconds += prefix_seconds;
       es->frozen_fp_seconds += prefix_seconds;
       logits = model_.ForwardFrom(frontier_, boundary);
+      bool stored = false;
+      if (serve) {
+        obs::ScopedPhase store_phase("cache", "store", &cache_hist, &result_.cache_seconds);
+        stored = cache_->StoreBatch(batch.sample_ids, boundary);
+      }
+      if (cache_ != nullptr && !stored) {
+        trace::AddInstant("cache", "decline");
+        decline_counter.Add(1);
+        ++result_.cache_declined_iters;
+      }
     } else {
       logits = model_.ForwardFrom(0, batch.input);
     }

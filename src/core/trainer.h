@@ -129,7 +129,8 @@ struct TrainResult {
   // gates on the off/on difference.
   double frozen_fp_seconds = 0.0;
   // Iterations where the store was enabled but declined to serve (epoch-varying
-  // augmentation signature, or a stochastic module in the prefix).
+  // augmentation signature, a stochastic module in the prefix, or a table
+  // over the store's byte budget).
   int64_t cache_declined_iters = 0;
   int64_t evals_submitted = 0;
   int64_t bootstrap_end_iter = -1;

@@ -1,9 +1,5 @@
-// Mini-batch loader with deterministic epoch shuffling and a look-ahead API.
-//
-// "Before an iteration, the data loader samples future mini-batches in advance ...
-// unlike typical cache systems, we actually know the future" (paper S4.3). The
-// activation prefetcher calls UpcomingIndices() to pull the sample ids of batches
-// that have not been consumed yet and stage their cached activations.
+// Mini-batch loader with deterministic epoch shuffling. Each epoch draws the
+// sample ids [0, num_samples()) in a permutation fixed by (seed, epoch).
 #ifndef EGERIA_SRC_DATA_DATALOADER_H_
 #define EGERIA_SRC_DATA_DATALOADER_H_
 
@@ -24,6 +20,7 @@ class DataLoader {
   void StartEpoch(int64_t epoch);
 
   int64_t NumBatches() const;
+  int64_t num_samples() const { return num_samples_; }
   int64_t batch_size() const { return batch_size_; }
   int64_t epoch() const { return epoch_; }
 
@@ -36,12 +33,6 @@ class DataLoader {
   // Sample ids of batch `batch_idx` within the current epoch.
   std::vector<int64_t> BatchIndices(int64_t batch_idx) const;
   Batch GetBatch(int64_t batch_idx) const;
-
-  // Sample ids of up to `count` upcoming batches next_batch, next_batch +
-  // stride, ... — the prefetcher's window into the future. A data-parallel
-  // rank consumes every world-th batch, so it looks ahead with stride = world.
-  std::vector<int64_t> UpcomingIndices(int64_t next_batch, int64_t count,
-                                       int64_t stride = 1) const;
 
  private:
   const Dataset& dataset_;

@@ -40,7 +40,8 @@ struct ThreadBuffer {
 // Registry of every thread buffer ever created. Buffers are shared_ptr so a
 // thread may exit (its thread_local reference dies) while Flush can still
 // drain what it emitted. The registry only grows; threads are few and
-// long-lived in this codebase (main, comm, ckpt_writer, prefetcher, pool).
+// long-lived in this codebase (trainer or rank, controller, ckpt_writer,
+// heartbeat, pool).
 struct Registry {
   std::mutex mu;
   std::vector<std::shared_ptr<ThreadBuffer>> buffers;

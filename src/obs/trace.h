@@ -61,8 +61,8 @@ int ProcessRank();
 // process_name metadata row in Perfetto.
 void SetProcessLabel(const std::string& label);
 
-// Names the calling thread's track ("main", "comm", "ckpt_writer",
-// "cache_prefetch"). First call wins; safe to call with tracing disabled.
+// Names the calling thread's track ("trainer", "rank1", "ckpt_writer",
+// "hb_monitor"). First call wins; safe to call with tracing disabled.
 void SetThreadName(const char* name);
 
 // Records the current steady-clock time as this process's clock-sync point.

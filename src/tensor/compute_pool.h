@@ -1,10 +1,8 @@
 // Process-wide compute thread pool for data-parallel kernel loops.
 //
 // The pool is created lazily on first use and sized by EGERIA_NUM_THREADS (default:
-// hardware concurrency). It is distinct from the pools owned by the activation
-// prefetcher / distributed harness: those carry coarse application tasks, this one
-// carries fine-grained kernel row blocks, and sharing would let an application task
-// block a kernel chunk behind it.
+// hardware concurrency). It carries fine-grained kernel row blocks only; no
+// application task shares it, so none can block a kernel chunk behind it.
 #ifndef EGERIA_SRC_TENSOR_COMPUTE_POOL_H_
 #define EGERIA_SRC_TENSOR_COMPUTE_POOL_H_
 

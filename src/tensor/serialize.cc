@@ -129,23 +129,6 @@ Tensor ReadTensor(std::istream& is, const std::string& context) {
   return t;
 }
 
-bool SaveTensorFile(const std::string& path, const Tensor& t) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) {
-    return false;
-  }
-  WriteTensor(os, t);
-  return static_cast<bool>(os);
-}
-
-Tensor LoadTensorFile(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    return Tensor();
-  }
-  return ReadTensor(is, path);
-}
-
 bool SaveCheckpoint(const std::string& path, const Checkpoint& ckpt) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   if (!os) {

@@ -1,10 +1,10 @@
 // Binary tensor (de)serialization.
 //
-// Used by (a) the activation cache, which spills frozen-layer activations to disk and
-// prefetches them back (paper S4.3), (b) model checkpoints (the "pre-trained"
-// model for the fine-tuning experiments and reference snapshots in tests), and
-// (c) the fault-tolerance checkpoint subsystem (src/ckpt/), which layers named
-// training-state snapshots on top of these primitives.
+// Used by (a) model checkpoints (the "pre-trained" model for the fine-tuning
+// experiments and reference snapshots in tests), (b) the fault-tolerance
+// checkpoint subsystem (src/ckpt/), which layers named training-state
+// snapshots on top of these primitives, and (c) the reference-model snapshot
+// inside the controller's saved state.
 //
 // Format v2 (little-endian, current writer):
 //   u32 magic 'EGT2' | u32 version | u32 ndim | i64 dims[ndim]
@@ -38,10 +38,6 @@ void WriteTensor(std::ostream& os, const Tensor& t);
 // malformed input: bad magic, ndim/dims out of range, truncation, checksum
 // mismatch.
 Tensor ReadTensor(std::istream& is, const std::string& context = "");
-
-bool SaveTensorFile(const std::string& path, const Tensor& t);
-// Returns an undefined tensor on failure.
-Tensor LoadTensorFile(const std::string& path);
 
 using Checkpoint = std::map<std::string, Tensor>;
 

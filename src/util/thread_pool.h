@@ -1,6 +1,6 @@
-// Fixed-size thread pool used by the activation prefetcher and the data-parallel
-// worker harness. Deliberately simple: a mutex-protected task queue is plenty for the
-// coarse-grained tasks submitted here (file reads, per-worker training steps).
+// Fixed-size thread pool behind the process-wide compute pool
+// (src/tensor/compute_pool.h), which submits kernel row blocks to it.
+// Deliberately simple: a mutex-protected task queue.
 #ifndef EGERIA_SRC_UTIL_THREAD_POOL_H_
 #define EGERIA_SRC_UTIL_THREAD_POOL_H_
 

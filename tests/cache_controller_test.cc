@@ -1,4 +1,4 @@
-// Activation cache (store/fetch/prefetch/invalidation) and the controller's
+// Activation cache (store/fetch/invalidation/budget) and the controller's
 // end-to-end decision flow through its thread.
 #include <gtest/gtest.h>
 
@@ -14,28 +14,30 @@ namespace egeria {
 namespace {
 
 constexpr uint64_t kGeneration = 1;
-
-std::string TempCacheDir(const char* tag) {
-  return ::testing::TempDir() + "/egeria_cache_test_" + tag;
-}
+constexpr int64_t kSamples = 64;
+constexpr int64_t kBudget = int64_t{1} << 20;
 
 TEST(ActivationCache, StoreFetchRoundTrip) {
-  ActivationCache cache(TempCacheDir("rt"), /*memory_entries=*/64);
+  ActivationCache cache(kSamples, kBudget);
   cache.SetKey(2, kGeneration);
   Rng rng(1);
   Tensor act = Tensor::Randn({4, 3, 2, 2}, rng);
   std::vector<int64_t> ids{10, 20, 30, 40};
-  cache.StoreBatch(ids, act);
+  ASSERT_TRUE(cache.StoreBatch(ids, act));
   ASSERT_TRUE(cache.HasAll(ids));
   Tensor fetched = cache.FetchBatch(ids);
   ASSERT_TRUE(fetched.Defined());
+  ASSERT_EQ(fetched.Shape(), act.Shape());
   for (int64_t i = 0; i < act.NumEl(); ++i) {
     EXPECT_EQ(fetched.Data()[i], act.Data()[i]);
   }
+  // One table row per sample id, allocated on the first store.
+  EXPECT_EQ(cache.Stats().table_bytes, kSamples * 12 * static_cast<int64_t>(sizeof(float)));
+  EXPECT_EQ(cache.Stats().bytes_written, 4 * 12 * static_cast<int64_t>(sizeof(float)));
 }
 
 TEST(ActivationCache, FetchInDifferentOrderReassembles) {
-  ActivationCache cache(TempCacheDir("order"), 64);
+  ActivationCache cache(kSamples, kBudget);
   cache.SetKey(0, kGeneration);
   Rng rng(2);
   Tensor act = Tensor::Randn({3, 2}, rng);
@@ -48,7 +50,7 @@ TEST(ActivationCache, FetchInDifferentOrderReassembles) {
 }
 
 TEST(ActivationCache, MissingIdReturnsUndefined) {
-  ActivationCache cache(TempCacheDir("miss"), 64);
+  ActivationCache cache(kSamples, kBudget);
   cache.SetKey(0, kGeneration);
   Rng rng(3);
   cache.StoreBatch({1, 2}, Tensor::Randn({2, 4}, rng));
@@ -57,24 +59,8 @@ TEST(ActivationCache, MissingIdReturnsUndefined) {
   EXPECT_GT(cache.Stats().misses, 0);
 }
 
-TEST(ActivationCache, MemoryEvictionFallsBackToDisk) {
-  // Memory keeps only 2 slices; older entries must still be served from disk.
-  ActivationCache cache(TempCacheDir("evict"), /*memory_entries=*/2);
-  cache.SetKey(1, kGeneration);
-  Rng rng(4);
-  Tensor act = Tensor::Randn({5, 3}, rng);
-  cache.StoreBatch({1, 2, 3, 4, 5}, act);
-  ASSERT_TRUE(cache.HasAll({1, 2, 3, 4, 5}));
-  Tensor fetched = cache.FetchBatch({1, 2, 3, 4, 5});
-  ASSERT_TRUE(fetched.Defined());
-  EXPECT_GT(cache.Stats().disk_hits, 0);
-  for (int64_t i = 0; i < act.NumEl(); ++i) {
-    EXPECT_EQ(fetched.Data()[i], act.Data()[i]);
-  }
-}
-
 TEST(ActivationCache, StageChangeInvalidates) {
-  ActivationCache cache(TempCacheDir("stage"), 64);
+  ActivationCache cache(kSamples, kBudget);
   cache.SetKey(0, kGeneration);
   Rng rng(5);
   cache.StoreBatch({7}, Tensor::Randn({1, 4}, rng));
@@ -86,38 +72,38 @@ TEST(ActivationCache, StageChangeInvalidates) {
 }
 
 TEST(ActivationCache, ClearDropsEverything) {
-  ActivationCache cache(TempCacheDir("clear"), 64);
+  ActivationCache cache(kSamples, kBudget);
   cache.SetKey(3, kGeneration);
   Rng rng(6);
   cache.StoreBatch({1, 2}, Tensor::Randn({2, 4}, rng));
   cache.Clear();
   EXPECT_FALSE(cache.HasAll({1}));
+  EXPECT_EQ(cache.Stats().table_bytes, 0);
   EXPECT_EQ(cache.stage(), 3);  // Stage survives Clear (same frontier, new weights).
 }
 
-TEST(ActivationCache, PrefetchLoadsIntoMemory) {
-  ActivationCache cache(TempCacheDir("prefetch"), /*memory_entries=*/2);
-  cache.SetKey(0, kGeneration);
-  Rng rng(7);
-  Tensor act = Tensor::Randn({4, 8}, rng);
-  cache.StoreBatch({1, 2, 3, 4}, act);  // Memory holds only {3, 4} afterwards.
-  cache.PrefetchAsync({1, 2});
-  // Prefetch is async; poll until it lands.
-  for (int i = 0; i < 100 && cache.Stats().prefetch_loads < 2; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_GE(cache.Stats().prefetch_loads, 1);
-  Tensor fetched = cache.FetchBatch({1, 2});
-  ASSERT_TRUE(fetched.Defined());
-}
-
-TEST(ActivationCache, DiskBudgetStopsStores) {
-  // Budget allows ~1 slice of 4 floats.
-  ActivationCache cache(TempCacheDir("budget"), 64, /*max_disk_bytes=*/20);
+TEST(ActivationCache, TableOverBudgetAllocatesNothingAndNeverServes) {
+  // 64 samples x 4 floats = 1024 bytes of table against a 1023-byte budget.
+  ActivationCache cache(kSamples, /*budget_bytes=*/kSamples * 4 * 4 - 1);
   cache.SetKey(0, kGeneration);
   Rng rng(8);
-  cache.StoreBatch({1, 2, 3}, Tensor::Randn({3, 4}, rng));
-  EXPECT_FALSE(cache.HasAll({1, 2, 3}));  // Later stores were dropped.
+  const std::vector<int64_t> ids{1, 2, 3};
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    EXPECT_FALSE(cache.StoreBatch(ids, Tensor::Randn({3, 4}, rng)));
+    EXPECT_FALSE(cache.HasAll(ids));
+    EXPECT_FALSE(cache.FetchBatch(ids).Defined());
+  }
+  const CacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.table_bytes, 0);
+  EXPECT_EQ(stats.stores, 0);
+  EXPECT_EQ(stats.bytes_written, 0);
+  EXPECT_EQ(stats.hits, 0);
+
+  // A table that fits exactly is allocated and serves.
+  ActivationCache fits(kSamples, /*budget_bytes=*/kSamples * 4 * 4);
+  fits.SetKey(0, kGeneration);
+  EXPECT_TRUE(fits.StoreBatch(ids, Tensor::Randn({3, 4}, rng)));
+  EXPECT_TRUE(fits.FetchBatch(ids).Defined());
 }
 
 class ControllerTest : public ::testing::Test {

@@ -1,9 +1,9 @@
 // Checkpoint/restore subsystem: hardened serialization (versioned formats,
 // per-tensor checksums, corruption rejection), state-dict round trips over
-// every model in src/models/, activation-cache spill hygiene, the manifest
-// commit/retention protocol, optimizer-state round trips (incl. the elastic
-// shard re-fold), freezing-policy state round trips, and the Trainer-level
-// bitwise-resume contract.
+// every model in src/models/, the manifest commit/retention protocol,
+// optimizer-state round trips (incl. the elastic shard re-fold),
+// freezing-policy state round trips, and the Trainer-level bitwise-resume
+// contract.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -19,7 +19,6 @@
 
 #include "src/ckpt/checkpoint.h"
 #include "src/ckpt/state_dict.h"
-#include "src/core/activation_cache.h"
 #include "src/core/module_partitioner.h"
 #include "src/core/trainer.h"
 #include "src/data/synthetic_image.h"
@@ -309,53 +308,6 @@ TEST(StateDict, LoadRejectsMismatchedArchitecture) {
   TempDir dir("mm");
   ASSERT_TRUE(SaveModelState(dir.path + "/m.state", *a));
   EXPECT_FALSE(LoadModelStateFile(dir.path + "/m.state", *wider));
-}
-
-// ------------------------------------------------------------ activation cache
-
-TEST(ActivationCacheHygiene, CorruptSpillBecomesMissNotGarbage) {
-  TempDir dir("spill");
-  ActivationCache cache(dir.path + "/c", /*memory_entries=*/1);
-  cache.SetKey(0, /*generation=*/1);
-  Rng rng(6);
-  Tensor acts = Tensor::Randn({3, 4}, rng);
-  cache.StoreBatch({10, 11, 12}, acts);
-  ASSERT_TRUE(cache.HasAll({10, 11, 12}));
-
-  // Corrupt sample 11's spill on disk (memory only holds the latest entry, so
-  // fetching must hit the disk path for it). Truncation models a spill torn
-  // by a crash mid-write. Filename follows the composite-key spill schema
-  // v<format>_s<stage>_<id>.egt.
-  const std::string victim = dir.path + "/c/v2_s0_11.egt";
-  ASSERT_TRUE(fs::exists(victim));
-  std::error_code ec;
-  fs::resize_file(victim, fs::file_size(victim) / 2, ec);
-  ASSERT_FALSE(ec);
-  Tensor fetched = cache.FetchBatch({10, 11, 12});
-  EXPECT_FALSE(fetched.Defined()) << "corrupt spill fed back as activations";
-  EXPECT_GT(cache.Stats().misses, 0);
-}
-
-TEST(ActivationCacheHygiene, KeyChangeSweepsStaleSpillFiles) {
-  TempDir dir("sweep");
-  const std::string cdir = dir.path + "/c";
-  {
-    ActivationCache cache(cdir, /*memory_entries=*/8);
-    cache.SetKey(0, /*generation=*/1);
-    Rng rng(7);
-    cache.StoreBatch({1, 2}, Tensor::Randn({2, 4}, rng));
-  }
-  // The destructor removes the directory; recreate it with a leftover spill
-  // from a "previous incarnation" the new instance never tracked.
-  fs::create_directories(cdir);
-  {
-    std::ofstream os(cdir + "/s0_99.egt", std::ios::binary);
-    os << "stale-bytes-from-a-crashed-run";
-  }
-  ActivationCache cache(cdir, /*memory_entries=*/8);
-  // A key with no matching manifest sweeps everything, tracked or not.
-  cache.SetKey(1, /*generation=*/1);
-  EXPECT_FALSE(fs::exists(cdir + "/s0_99.egt"));
 }
 
 // ----------------------------------------------------------- manifest protocol
@@ -665,11 +617,9 @@ TrainConfig FreezingTrainConfig() {
 }
 
 TEST(TrainerResume, CheckpointedRunResumesBitwiseIdentical) {
-  TempDir caches("caches");
   // Ground truth: the uninterrupted freezing run.
   TrainerWorkload wa = MakeTrainerWorkload();
   TrainConfig base = FreezingTrainConfig();
-  base.egeria.cache_dir = caches.path + "/a";
   Trainer uninterrupted(*wa.model, *wa.train, *wa.val, base);
   TrainResult ra = uninterrupted.Run();
   ASSERT_GT(ra.final_frontier, 0) << "workload no longer freezes; test is hollow";
@@ -685,7 +635,6 @@ TEST(TrainerResume, CheckpointedRunResumesBitwiseIdentical) {
   {
     TrainConfig crash = cfg;
     crash.stop_after_iters = 50;
-    crash.egeria.cache_dir = caches.path + "/b";
     Trainer first(*wb.model, *wb.train, *wb.val, crash);
     TrainResult r1 = first.Run();
     EXPECT_TRUE(r1.stopped_early);
@@ -693,7 +642,6 @@ TEST(TrainerResume, CheckpointedRunResumesBitwiseIdentical) {
   }
   // "Restart the process": a fresh model + trainer against the same directory.
   TrainerWorkload wc = MakeTrainerWorkload();
-  cfg.egeria.cache_dir = caches.path + "/c";
   Trainer second(*wc.model, *wc.train, *wc.val, cfg);
   TrainResult r2 = second.Run();
   EXPECT_EQ(r2.resumed_from_iter, 50);

@@ -179,19 +179,6 @@ TEST(Rng, GaussianMoments) {
   EXPECT_NEAR(rs.StdDev(), 1.0, 0.05);
 }
 
-TEST(Serialize, TensorRoundTrip) {
-  Rng rng(5);
-  Tensor t = Tensor::Randn({3, 4, 5}, rng);
-  const std::string path = ::testing::TempDir() + "/egeria_tensor.egt";
-  ASSERT_TRUE(SaveTensorFile(path, t));
-  Tensor u = LoadTensorFile(path);
-  ASSERT_TRUE(u.Defined());
-  ASSERT_EQ(u.Shape(), t.Shape());
-  for (int64_t i = 0; i < t.NumEl(); ++i) {
-    EXPECT_EQ(t.Data()[i], u.Data()[i]);
-  }
-}
-
 TEST(Serialize, CheckpointRoundTrip) {
   Rng rng(6);
   Checkpoint ckpt;
@@ -212,7 +199,6 @@ TEST(Serialize, CorruptFileFailsGracefully) {
     std::ofstream os(path, std::ios::binary);
     os << "not a tensor";
   }
-  EXPECT_FALSE(LoadTensorFile(path).Defined());
   Checkpoint c;
   EXPECT_FALSE(LoadCheckpoint(path, c));
 }
