@@ -25,7 +25,7 @@ void AutoFreezeHook::OnIteration(Trainer& trainer, const Batch& batch, int64_t i
     return;
   }
   const int frontier = trainer.frontier();
-  const int max_freezable = trainer.model().NumStages() - 1 - cfg_.protected_tail;
+  const int max_freezable = trainer.model().NumStages() - 1 - kProtectedTailStages;
   if (frontier > max_freezable) {
     return;
   }
@@ -53,7 +53,7 @@ void SkipConvHook::OnIteration(Trainer& trainer, const Batch& batch, int64_t ite
     return;
   }
   const int frontier = trainer.frontier();
-  const int max_freezable = trainer.model().NumStages() - 1 - cfg_.protected_tail;
+  const int max_freezable = trainer.model().NumStages() - 1 - kProtectedTailStages;
   if (frontier > max_freezable) {
     return;
   }
@@ -87,7 +87,7 @@ void SkipConvHook::OnIteration(Trainer& trainer, const Batch& batch, int64_t ite
 
 void FreezeOutHook::OnIteration(Trainer& trainer, const Batch& batch, int64_t iter) {
   (void)batch;
-  const int max_freezable = trainer.model().NumStages() - 1 - cfg_.protected_tail;
+  const int max_freezable = trainer.model().NumStages() - 1 - kProtectedTailStages;
   const int frontier = trainer.frontier();
   if (frontier > max_freezable) {
     return;

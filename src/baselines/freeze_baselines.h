@@ -41,7 +41,6 @@ struct AutoFreezeConfig {
   int window = 5;
   // Freeze when grad norm < threshold_frac * historical max for `window` evals.
   double threshold_frac = 0.4;
-  int protected_tail = 1;
 };
 
 class AutoFreezeHook : public FreezeHook {
@@ -62,7 +61,6 @@ struct SkipConvConfig {
   int window = 5;
   // Freeze when the input-norm gate < threshold_frac * its first reading.
   double threshold_frac = 0.3;
-  int protected_tail = 1;
 };
 
 class SkipConvHook : public FreezeHook {
@@ -84,7 +82,6 @@ struct FreezeOutConfig {
   double t_end_frac = 0.8;
   // Cubic schedule (FreezeOut's default) vs linear spacing of freeze times.
   bool cubic = true;
-  int protected_tail = 1;
 };
 
 class FreezeOutHook : public FreezeHook {

@@ -35,14 +35,13 @@
 
 namespace egeria {
 
-// Checkpoint knobs of TrainConfig (and so of DistTrainConfig).
+// Checkpoint knobs of TrainConfig (and so of DistTrainConfig). A run with
+// `dir` set always resumes from the latest complete checkpoint in it
+// (auto-restart: rerunning the same command continues the run).
 struct CheckpointOptions {
   std::string dir;             // empty = checkpointing disabled
   int64_t interval_iters = 0;  // snapshot every N iterations (0 = never)
   int keep_last = 2;           // complete checkpoints retained
-  // Resume from the latest complete checkpoint in `dir` when one exists
-  // (auto-restart: rerunning the same command continues the run).
-  bool resume = true;
 
   // Capture the snapshot in memory at the checkpoint boundary, serialize it
   // on a background thread (ckpt/async_writer.h), and defer the collective

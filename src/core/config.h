@@ -46,10 +46,12 @@ struct EgeriaConfig {
   // rank keeps its own store. Its byte budget is a constant of the Trainer
   // (trainer.cc).
   bool enable_cache = true;
-
-  // Never freeze the last `protected_tail` stages (the head / loss module).
-  int protected_tail = 1;
 };
+
+// The head never freezes: the last stage of a chain (the head and its loss
+// module) stays trainable under every freezing policy, so the highest stage
+// that may freeze is NumStages() - 1 - kProtectedTailStages.
+constexpr int kProtectedTailStages = 1;
 
 }  // namespace egeria
 

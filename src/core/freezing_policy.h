@@ -51,7 +51,7 @@ class FreezingPolicy {
   int frontier() const { return frontier_; }
   int window() const { return window_; }
   // Highest stage the policy may freeze (protects the tail module).
-  int MaxFreezable() const { return num_stages_ - 1 - cfg_.protected_tail; }
+  int MaxFreezable() const { return num_stages_ - 1 - kProtectedTailStages; }
 
   // Exposed for tests and the Fig. 12 sensitivity bench.
   double ToleranceOf(int stage) const;

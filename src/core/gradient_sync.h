@@ -9,9 +9,9 @@
 //
 // Three implementations share this interface:
 //   - LocalSync (below): world 1, the replicated Optimizer (SGD or Adam).
-//   - StarSync (src/distributed/dist_trainer.h): the in-process reference —
-//     GradientAllReducer averages every rank's gradients, then the same
-//     replicated optimizer steps on every rank.
+//   - StarSync (src/distributed/dist_trainer.h): the sequential reference —
+//     StarAllReduce gathers every rank's gradients over the transport and
+//     averages them, then the same replicated optimizer steps on every rank.
 //   - RingSync (src/distributed/dist_trainer.h): ZeRO-1 — ring
 //     reduce-scatter, the owner's step on its shard, ring all-gather; the
 //     shard map is repartitioned whenever the frontier moves.
@@ -97,7 +97,7 @@ class GradientSync {
 
 // The replicated optimizer: every rank holds the full state and steps every
 // active parameter. At world 1 this is plain single-process training; the
-// in-process star reference (StarSync) adds its gradient average in front.
+// star reference (StarSync) adds its gradient average in front.
 class LocalSync : public GradientSync {
  public:
   explicit LocalSync(std::unique_ptr<Optimizer> optimizer,

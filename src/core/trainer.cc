@@ -193,7 +193,7 @@ void Trainer::MaybeSubmitEval(const Batch& batch, float lr, int64_t iter) {
   if (iter % cfg_.egeria.eval_interval_n != 0) {
     return;
   }
-  if (frontier_ >= model_.NumStages() - 1 - cfg_.egeria.protected_tail + 1) {
+  if (frontier_ > model_.NumStages() - 1 - kProtectedTailStages) {
     return;  // Nothing left that may freeze.
   }
   EvalRequest req;
@@ -447,7 +447,7 @@ TrainResult Trainer::Run() {
 
   int64_t iter = 0;
   TransportStatus st;
-  if (!cfg_.ckpt.dir.empty() && cfg_.ckpt.resume) {
+  if (!cfg_.ckpt.dir.empty()) {
     st = TryResume(&result_.resumed_from_iter);
     iter = std::max<int64_t>(result_.resumed_from_iter, 0);
   }

@@ -1,69 +1,52 @@
 #include "src/distributed/allreduce.h"
 
-#include <cstring>
+#include <algorithm>
+#include <vector>
 
 #include "src/distributed/reduction_contract.h"
 #include "src/distributed/transport/ring_schedule.h"
 #include "src/obs/trace.h"
-#include "src/util/logging.h"
 #include "src/util/timer.h"
 
 namespace egeria {
 
-GradientAllReducer::GradientAllReducer(int world)
-    : world_(world), barrier_(world) {
-  EGERIA_CHECK(world_ >= 1);
-  param_lists_.resize(static_cast<size_t>(world_), nullptr);
-}
-
-void GradientAllReducer::AllReduce(int rank, const std::vector<Parameter*>& params) {
-  EGERIA_CHECK(rank >= 0 && rank < world_);
-  if (world_ == 1) {
-    return;
+TransportStatus StarAllReduce(Transport& transport, FlatParamView& grads) {
+  const int world = transport.World();
+  if (world == 1) {
+    return TransportStatus::Ok();
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    param_lists_[static_cast<size_t>(rank)] = &params;
+  // Gather: row r of `all` ends holding rank r's whole flat gradient.
+  const int64_t total = grads.NumEl();
+  std::vector<float> all(static_cast<size_t>(world * total));
+  auto row = [&](int r) { return all.data() + static_cast<size_t>(r * total); };
+  grads.CopyOut(0, total, row(transport.Rank()));
+  const TransportStatus st = RingCirculate(
+      transport, transport.Rank(), [&](int) { return Span{0, total}; },
+      [&](float* buf, int r, const Span& s) { std::copy_n(row(r), s.size(), buf); },
+      [&](const float* buf, int r, const Span& s) { std::copy_n(buf, s.size(), row(r)); },
+      nullptr);
+  if (!st.ok()) {
+    return st;
   }
-  barrier_.Wait();  // All ranks registered.
-  if (rank == 0) {
-    // Sequential reference implementation of the reduction contract: fold each
-    // contract chunk in canonical ring order — (c+1)%W, (c+2)%W, ..., c — then
-    // average in a separate elementwise pass and broadcast. Any transport that
-    // honors the contract (the ring below) matches this bitwise.
-    std::vector<FlatParamView> views;
-    views.reserve(static_cast<size_t>(world_));
-    for (int r = 0; r < world_; ++r) {
-      const auto& list = *param_lists_[static_cast<size_t>(r)];
-      EGERIA_CHECK_MSG(list.size() == param_lists_[0]->size(),
-                       "rank param list mismatch");
-      views.emplace_back(list, FlatParamView::Field::kGrad);
-      EGERIA_CHECK(views.back().NumEl() == views[0].NumEl());
-    }
-    const int64_t total = views[0].NumEl();
-    const float inv = 1.0F / static_cast<float>(world_);
-    std::vector<float> buf(static_cast<size_t>(ChunkSpan(total, world_, 0).size()));
-    for (int c = 0; c < world_; ++c) {
-      const Span chunk = ChunkSpan(total, world_, c);
-      if (chunk.size() == 0) {
-        continue;
-      }
-      views[static_cast<size_t>(RingRank(c + 1, world_))].CopyOut(
-          chunk.begin, chunk.end, buf.data());
-      for (int k = 2; k <= world_; ++k) {
-        views[static_cast<size_t>(RingRank(c + k, world_))].AddTo(
-            chunk.begin, chunk.end, buf.data());
-      }
+  // Fold each contract chunk in canonical ring order — (c+1)%W, (c+2)%W, ...,
+  // c — then average in a separate elementwise pass.
+  const float inv = 1.0F / static_cast<float>(world);
+  std::vector<float> buf(static_cast<size_t>(ChunkSpan(total, world, 0).size()));
+  for (int c = 0; c < world; ++c) {
+    const Span chunk = ChunkSpan(total, world, c);
+    std::copy_n(row(RingRank(c + 1, world)) + chunk.begin, chunk.size(), buf.data());
+    for (int k = 2; k <= world; ++k) {
+      const float* g = row(RingRank(c + k, world)) + chunk.begin;
       for (int64_t i = 0; i < chunk.size(); ++i) {
-        buf[static_cast<size_t>(i)] *= inv;
-      }
-      for (int r = 0; r < world_; ++r) {
-        views[static_cast<size_t>(r)].CopyIn(chunk.begin, chunk.end, buf.data());
+        buf[static_cast<size_t>(i)] += g[i];
       }
     }
-    bytes_reduced_.fetch_add(total * static_cast<int64_t>(sizeof(float)));
+    for (int64_t i = 0; i < chunk.size(); ++i) {
+      buf[static_cast<size_t>(i)] *= inv;
+    }
+    grads.CopyIn(chunk.begin, chunk.end, buf.data());
   }
-  barrier_.Wait();  // Averaged gradients visible to every rank.
+  return st;
 }
 
 RingAllReducer::RingAllReducer(Transport& transport) : transport_(transport) {}

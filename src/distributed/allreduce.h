@@ -1,59 +1,39 @@
 // Gradient collectives for the data-parallel worker harness.
 //
-// Two implementations of the SAME reduction contract (reduction_contract.h):
+// Two implementations of the SAME reduction contract (reduction_contract.h),
+// both over a byte-oriented Transport (transport/transport.h), so they run
+// unchanged whether the TCP transport's ranks are threads of one process or
+// OS processes:
 //
-//  - GradientAllReducer: the sequential reference. Rank 0 folds every chunk in
-//    canonical ring order and broadcasts. Obviously correct, zero concurrency in
-//    the arithmetic; tests pin the ring against it bitwise. In-process only
-//    (ranks must be threads sharing the parameter lists).
+//  - StarAllReduce: the sequential reference. Every rank gathers every rank's
+//    whole flat gradient around the ring, then folds each chunk in canonical
+//    ring order with plain loops. Obviously correct, zero concurrency in the
+//    arithmetic; tests pin the ring against it bitwise.
 //  - RingAllReducer: bandwidth-optimal ring reduce-scatter + all-gather over
-//    `world` contract chunks, executed over a byte-oriented Transport
-//    (transport/transport.h) — the same schedule runs unchanged whether the
-//    TCP transport's ranks are threads of one process or OS processes.
-//    Each link carries 2(W-1)/W of the payload instead of the star reducer's
-//    2(W-1). Exposed as two halves so the ZeRO-1 sharded optimizer can run
-//    between them: reduce-scatter(grads) -> owner applies the optimizer update
-//    on its shard -> all-gather(params).
+//    `world` contract chunks. Each link carries 2(W-1)/W of the payload
+//    instead of the gather's (W-1). Exposed as two halves so the ZeRO-1
+//    sharded optimizer can run between them: reduce-scatter(grads) -> owner
+//    applies the optimizer update on its shard -> all-gather(params).
 //
-// Both count payload bytes so tests can assert that frozen stages drop out of
-// synchronization (the Fig. 10 traffic saving); the ring additionally measures
-// wall seconds spent inside collectives, which is what turns the paper's
-// "frozen layers shrink network traffic" claim into a measured number once the
-// transport is a real wire.
+// The ring counts payload and wire bytes, so tests can assert that frozen
+// stages drop out of synchronization (the Fig. 10 traffic saving), and
+// measures wall seconds spent inside collectives, which turns the paper's
+// "frozen layers shrink network traffic" claim into a measured number.
 #ifndef EGERIA_SRC_DISTRIBUTED_ALLREDUCE_H_
 #define EGERIA_SRC_DISTRIBUTED_ALLREDUCE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <utility>
-#include <vector>
 
 #include "src/distributed/flat_view.h"
-#include "src/distributed/thread_barrier.h"
 #include "src/distributed/transport/transport.h"
-#include "src/nn/module.h"
 
 namespace egeria {
 
-class GradientAllReducer {
- public:
-  explicit GradientAllReducer(int world);
-
-  // Collective: blocks until all `world` ranks arrive; gradients are averaged
-  // elementwise across ranks per the reduction contract. Parameter lists must
-  // align across ranks.
-  void AllReduce(int rank, const std::vector<Parameter*>& params);
-
-  int64_t TotalBytesReduced() const { return bytes_reduced_.load(); }
-
- private:
-  int world_;
-  std::mutex mutex_;
-  ThreadBarrier barrier_;
-  std::vector<const std::vector<Parameter*>*> param_lists_;
-  std::atomic<int64_t> bytes_reduced_{0};
-};
+// Collective: averages `grads` elementwise across the ranks of `transport`
+// per the reduction contract. On ok every rank's view holds the same result,
+// bit for bit; on a transport error the view is left as it was.
+TransportStatus StarAllReduce(Transport& transport, FlatParamView& grads);
 
 // One rank's endpoint of the ring collectives. Construct one per rank over
 // that rank's Transport; all counters are per-rank (sum across ranks for
@@ -77,8 +57,7 @@ class RingAllReducer {
   // gradients) but must have the same flat size.
   TransportStatus AllGather(FlatParamView& view);
 
-  // Logical payload: flat bytes per reduce-scatter call (comparable to
-  // GradientAllReducer::TotalBytesReduced).
+  // Logical payload: flat bytes per reduce-scatter call.
   int64_t TotalBytesReduced() const { return payload_bytes_; }
   // Bytes this rank pushed onto its ring link (both phases). Summed across the
   // world this is 2(W-1) x payload per full reduce-scatter + all-gather round,

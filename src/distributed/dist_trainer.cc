@@ -230,15 +230,18 @@ std::vector<DistReshardEvent> RingSync::ReshardEvents(int64_t last_iter) {
 
 // ---------------------------------------------------------------- StarSync
 
-StarSync::StarSync(Transport& transport, GradientAllReducer& reducer,
-                   std::unique_ptr<Optimizer> optimizer)
-    : LocalSync(std::move(optimizer), &transport), reducer_(reducer) {}
+StarSync::StarSync(Transport& transport, std::unique_ptr<Optimizer> optimizer)
+    : LocalSync(std::move(optimizer), &transport) {}
 
 TransportStatus StarSync::Step(const std::vector<Parameter*>& active, float lr,
                                double* opt_seconds) {
   {
     EGERIA_TRACE_SCOPE("ring", "star_reduce");
-    reducer_.AllReduce(Rank(), active);
+    FlatParamView grads(active, FlatParamView::Field::kGrad);
+    TransportStatus st = StarAllReduce(*transport_, grads);
+    if (!st.ok()) {
+      return st;
+    }
   }
   bytes_synced_ += ParamBytes(active);
   return LocalSync::Step(active, lr, opt_seconds);
@@ -249,13 +252,10 @@ TransportStatus StarSync::Step(const std::vector<Parameter*>& active, float lr,
 RankTrainResult TrainRank(
     Transport& transport,
     const std::function<std::unique_ptr<ChainModel>()>& make_model,
-    const Dataset& train_data, const Dataset& val_data, const DistTrainConfig& cfg,
-    GradientAllReducer* reference_reducer) {
+    const Dataset& train_data, const Dataset& val_data, const DistTrainConfig& cfg) {
   const int rank = transport.Rank();
   EGERIA_CHECK(cfg.world == transport.World());
   const bool sharded = cfg.reducer == DistTrainConfig::Reducer::kRingSharded;
-  EGERIA_CHECK_MSG(sharded || reference_reducer != nullptr,
-                   "sequential reference reducer requires in-process ranks");
   EGERIA_CHECK_MSG(!sharded || cfg.optimizer == TrainConfig::Optim::kSgd,
                    "the ring sync shards momentum SGD only");
 
@@ -318,7 +318,7 @@ RankTrainResult TrainRank(
     result.iterations = std::max<int64_t>(tr.resumed_from_iter, 0) + tr.iterations;
     result.reshard_events = sync.ReshardEvents(result.iterations);
   } else {
-    StarSync sync(transport, *reference_reducer, MakeOptimizer(cfg));
+    StarSync sync(transport, MakeOptimizer(cfg));
     tr = run(sync);
     result.bytes_synced = sync.BytesSynced();
     result.iterations = std::max<int64_t>(tr.resumed_from_iter, 0) + tr.iterations;
@@ -348,11 +348,6 @@ DistTrainResult TrainDataParallel(
   EGERIA_CHECK(cfg.world >= 1);
   EGERIA_CHECK(cfg.lr_schedule != nullptr);
 
-  GradientAllReducer reference(cfg.world);
-  GradientAllReducer* reference_ptr =
-      cfg.reducer == DistTrainConfig::Reducer::kSequentialReference ? &reference
-                                                                    : nullptr;
-
   char rendezvous_dir[] = "/tmp/egeria-rdzv-XXXXXX";
   EGERIA_CHECK_MSG(mkdtemp(rendezvous_dir) != nullptr, "mkdtemp failed for tcp rendezvous");
   const std::string rendezvous = std::string(rendezvous_dir) + "/rendezvous";
@@ -366,7 +361,7 @@ DistTrainResult TrainDataParallel(
     // Ranks are threads here, so wiring completes in milliseconds.
     std::unique_ptr<Transport> transport = MakeTcpTransport(opts);
     results[static_cast<size_t>(rank)] =
-        TrainRank(*transport, make_model, train_data, val_data, cfg, reference_ptr);
+        TrainRank(*transport, make_model, train_data, val_data, cfg);
   };
   std::vector<std::thread> threads;
   for (int r = 0; r < cfg.world; ++r) {

@@ -22,10 +22,10 @@
 //     collectives are timed as the rank's comm_wait phase (the signal of
 //     `egeria_trace --diagnose`'s straggler verdict). A frontier move re-partitions the shards,
 //     so frozen parameters leave the ring payload and per-rank optimizer memory.
-//   - StarSync: the sequential reference — rank 0 folds every rank's gradients
-//     (GradientAllReducer), then every rank steps a replicated optimizer.
-//     In-process only: it reads peers' gradients through shared memory, while
-//     the frontier and the initial weights still cross the transport.
+//   - StarSync: the sequential reference — every rank gathers every rank's
+//     gradients over the transport and folds them in contract order
+//     (StarAllReduce), then steps a replicated optimizer. Tests select it as
+//     the ring's bitwise oracle.
 #ifndef EGERIA_SRC_DISTRIBUTED_DIST_TRAINER_H_
 #define EGERIA_SRC_DISTRIBUTED_DIST_TRAINER_H_
 
@@ -56,7 +56,7 @@ struct DistTrainConfig : TrainConfig {
   // Gradient synchronization + optimizer layout (see the file comment).
   enum class Reducer {
     kRingSharded,           // RingSync: ring + ZeRO-1 shards
-    kSequentialReference,   // StarSync: rank-0 star reduce + replicated SGD
+    kSequentialReference,   // StarSync: gather, contract fold + replicated SGD
   };
   Reducer reducer = Reducer::kRingSharded;
 
@@ -183,12 +183,11 @@ class RingSync : public GradientSync {
   double segment_comm_start_ = 0.0;  // CommSeconds() when the segment opened
 };
 
-// The sequential reference: GradientAllReducer's star average, then the
-// replicated optimizer on every rank. In-process ranks only.
+// The sequential reference: StarAllReduce's average over the transport, then
+// the replicated optimizer on every rank.
 class StarSync : public LocalSync {
  public:
-  StarSync(Transport& transport, GradientAllReducer& reducer,
-           std::unique_ptr<Optimizer> optimizer);
+  StarSync(Transport& transport, std::unique_ptr<Optimizer> optimizer);
 
   TransportStatus Step(const std::vector<Parameter*>& active, float lr,
                        double* opt_seconds) override;
@@ -196,21 +195,18 @@ class StarSync : public LocalSync {
   int64_t BytesSynced() const { return bytes_synced_; }
 
  private:
-  GradientAllReducer& reducer_;
   int64_t bytes_synced_ = 0;
 };
 
 // One rank's training over `transport`: broadcasts rank 0's initial weights,
-// builds the configured GradientSync, and runs a Trainer. Collective: every
-// rank of the world must call this concurrently with an identical config and
-// a deterministic `make_model` (same architecture AND same seed per call).
-// `reference_reducer` must be non-null iff cfg.reducer == kSequentialReference
-// (in-process threads only).
+// builds the GradientSync cfg.reducer names, and runs a Trainer. Collective:
+// every rank of the world must call this concurrently with an identical
+// config and a deterministic `make_model` (same architecture AND same seed
+// per call).
 RankTrainResult TrainRank(
     Transport& transport,
     const std::function<std::unique_ptr<ChainModel>()>& make_model,
-    const Dataset& train_data, const Dataset& val_data, const DistTrainConfig& cfg,
-    GradientAllReducer* reference_reducer = nullptr);
+    const Dataset& train_data, const Dataset& val_data, const DistTrainConfig& cfg);
 
 // In-process harness: spawns cfg.world rank threads, wires them into one TCP
 // world through a fresh rendezvous file (heartbeat off), and aggregates their

@@ -35,45 +35,17 @@ inline uint64_t FrameDigestRotl(uint64_t x, int r) {
   return (x << r) | (x >> (64 - r));
 }
 
-inline uint64_t FrameDigest64(const void* data, size_t len) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  uint64_t lane[8];
-  for (int i = 0; i < 8; ++i) {
-    // Distinct offsets so a block of identical words still feeds each lane a
-    // different stream.
-    lane[i] = kFnv64Offset + static_cast<uint64_t>(i) * 0x9E3779B97F4A7C15ULL;
-  }
-  size_t off = 0;
-  for (; off + 64 <= len; off += 64) {
-    for (int i = 0; i < 8; ++i) {
-      uint64_t w;
-      std::memcpy(&w, p + off + 8 * static_cast<size_t>(i), sizeof(w));
-      lane[i] = FrameDigestRotl(lane[i], 29) + w;
-    }
-  }
-  uint64_t acc = Fnv1a64(lane, sizeof(lane));
-  if (off < len) {
-    acc = Fnv1a64(p + off, len - off, acc);
-  }
-  const uint64_t n = static_cast<uint64_t>(len);
-  return Fnv1a64(&n, sizeof(n), acc);
-}
-
-// Incremental FrameDigest64: feed bytes in any chunking and Finish() returns
-// exactly what FrameDigest64 would return over the concatenation. This is what
-// lets the TCP transport hash frames inside its socket pump — a chunk is
-// hashed right after send()/recv() accepts it, so the digest work overlaps the
-// wire instead of adding a serial whole-buffer pass before/after it.
+// The digest over bytes fed in any chunking: Finish() returns the digest of
+// their concatenation. The TCP transport's receiver feeds each chunk as recv()
+// delivers it, so the check adds no pass over the frame after it arrives.
 class FrameDigestStream {
  public:
-  FrameDigestStream() { Reset(); }
-
-  void Reset() {
+  FrameDigestStream() {
     for (int i = 0; i < 8; ++i) {
+      // Distinct offsets so a block of identical words still feeds each lane
+      // a different stream.
       lane_[i] = kFnv64Offset + static_cast<uint64_t>(i) * 0x9E3779B97F4A7C15ULL;
     }
-    tail_len_ = 0;
-    total_ = 0;
   }
 
   void Update(const void* data, size_t len) {
@@ -123,6 +95,13 @@ class FrameDigestStream {
   size_t tail_len_ = 0;
   uint64_t total_ = 0;
 };
+
+// The digest of one whole buffer: the stream fed in one call.
+inline uint64_t FrameDigest64(const void* data, size_t len) {
+  FrameDigestStream stream;
+  stream.Update(data, len);
+  return stream.Finish();
+}
 
 }  // namespace egeria
 

@@ -7,9 +7,10 @@
 // in-place — the reduce-scatter — forwards the folded value, and a consume
 // that only copies out — all-gather, shard migration — forwards verbatim).
 //
-// Reduce-scatter seeds with start = rank-1, all-gather and the reshard
-// momentum migration with start = rank; the item-size schedule is any Span
-// function all ranks agree on. Keeping the loop here means the index
+// Reduce-scatter seeds with start = rank-1; all-gather, the star reference's
+// gather of whole gradients and the reshard momentum migration with
+// start = rank. The item-size schedule is any Span function all ranks agree
+// on. Keeping the loop here means the index
 // arithmetic and the step-(s-1)-recv == step-s-send size invariant live in
 // exactly one place.
 #ifndef EGERIA_SRC_DISTRIBUTED_TRANSPORT_RING_SCHEDULE_H_

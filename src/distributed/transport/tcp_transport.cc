@@ -122,54 +122,90 @@ void SetNoDelay(int fd) {
       "setsockopt(TCP_NODELAY) failed");
 }
 
-// ---- Wiring-phase I/O (construction only): failures abort. ----
+// ---- Blocking I/O: the one loop for wiring, collectives and the heartbeat ----
 
-// Waits for `events` on fd until the deadline; aborts with `what` on expiry.
-void PollOne(int fd, short events, Deadline deadline, const char* what) {
+// How a bounded blocking-I/O call ended.
+enum class Io {
+  kOk,
+  kTimeout,     // the deadline passed
+  kAborted,     // the abort flag was set
+  kPollFailed,  // poll() itself failed
+  kClosed,      // the peer closed the link
+  kFailed,      // send() or recv() failed
+};
+
+// Waits until `fd` is ready for `events` or the deadline passes. A non-null
+// `abort` flag is re-checked every kAbortPollMs, so a coordinated abort
+// interrupts the wait promptly even with a long deadline.
+Io WaitFd(int fd, short events, Deadline deadline, const std::atomic<bool>* abort) {
   for (;;) {
+    if (abort != nullptr && abort->load(std::memory_order_acquire)) {
+      return Io::kAborted;
+    }
     struct pollfd p = {fd, events, 0};
-    const int rc = poll(&p, 1, RemainingMs(deadline));
+    const int rc = poll(&p, 1, std::min(RemainingMs(deadline), kAbortPollMs));
     if (rc > 0) {
-      return;  // Ready (or error condition: the next read/write reports it).
+      return Io::kOk;  // Ready (or error condition: the next send/recv reports it).
     }
-    if (rc < 0 && errno == EINTR) {
-      continue;
+    if (rc < 0 && errno != EINTR) {
+      return Io::kPollFailed;
     }
-    EGERIA_CHECK_MSG(!(rc == 0 && Expired(deadline)),
-                     std::string("tcp transport timed out waiting to ") + what);
-    EGERIA_CHECK_MSG(rc >= 0, std::string("poll failed while waiting to ") + what);
+    if (rc == 0 && Expired(deadline)) {
+      return Io::kTimeout;
+    }
   }
 }
 
-void SendAllFd(int fd, const void* buf, size_t n, Deadline deadline) {
+Io SendAll(int fd, const void* buf, size_t n, Deadline deadline,
+           const std::atomic<bool>* abort) {
   const auto* p = static_cast<const uint8_t*>(buf);
-  size_t done = 0;
-  while (done < n) {
+  for (size_t done = 0; done < n;) {
     const ssize_t rc = ::send(fd, p + done, n - done, MSG_NOSIGNAL);
     if (rc > 0) {
       done += static_cast<size_t>(rc);
       continue;
     }
-    EGERIA_CHECK_MSG(rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR),
-                     "tcp send failed (peer gone?)");
-    PollOne(fd, POLLOUT, deadline, "send");
+    if (!(rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR))) {
+      return Io::kFailed;
+    }
+    const Io io = WaitFd(fd, POLLOUT, deadline, abort);
+    if (io != Io::kOk) {
+      return io;
+    }
   }
+  return Io::kOk;
 }
 
-void RecvAllFd(int fd, void* buf, size_t n, Deadline deadline) {
+Io RecvAll(int fd, void* buf, size_t n, Deadline deadline,
+           const std::atomic<bool>* abort) {
   auto* p = static_cast<uint8_t*>(buf);
-  size_t done = 0;
-  while (done < n) {
+  for (size_t done = 0; done < n;) {
     const ssize_t rc = ::recv(fd, p + done, n - done, 0);
     if (rc > 0) {
       done += static_cast<size_t>(rc);
       continue;
     }
-    EGERIA_CHECK_MSG(rc != 0, "tcp peer closed connection mid-message");
-    EGERIA_CHECK_MSG(errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR,
-                     "tcp recv failed");
-    PollOne(fd, POLLIN, deadline, "recv");
+    if (rc == 0) {
+      return Io::kClosed;
+    }
+    if (!(errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+      return Io::kFailed;
+    }
+    const Io io = WaitFd(fd, POLLIN, deadline, abort);
+    if (io != Io::kOk) {
+      return io;
+    }
   }
+  return Io::kOk;
+}
+
+// Wiring runs at construction, with nothing to recover yet: any result but
+// kOk is fatal.
+void CheckWiring(Io io, const char* what) {
+  static constexpr const char* kWhy[] = {"ok", "timed out", "aborted", "poll failed",
+                                         "peer closed the connection", "socket call failed"};
+  EGERIA_CHECK_MSG(io == Io::kOk, std::string("tcp transport wiring failed to ") + what +
+                                      ": " + kWhy[static_cast<int>(io)]);
 }
 
 struct Hello {
@@ -184,12 +220,12 @@ void SendHello(int fd, const Hello& h, Deadline deadline) {
   EncodeU32(h.kind, wire + 4);
   EncodeU32(h.rank, wire + 8);
   EncodeU32(h.port, wire + 12);
-  SendAllFd(fd, wire, sizeof(wire), deadline);
+  CheckWiring(SendAll(fd, wire, sizeof(wire), deadline, nullptr), "send a hello");
 }
 
 Hello RecvHello(int fd, Deadline deadline) {
   uint8_t wire[16];
-  RecvAllFd(fd, wire, sizeof(wire), deadline);
+  CheckWiring(RecvAll(fd, wire, sizeof(wire), deadline, nullptr), "receive a hello");
   EGERIA_CHECK_MSG(DecodeU32(wire) == kHelloMagic,
                    "bad hello magic (mixed worlds on one rendezvous file?)");
   return Hello{DecodeU32(wire + 4), DecodeU32(wire + 8), DecodeU32(wire + 12)};
@@ -215,7 +251,7 @@ int ListenEphemeral(uint16_t* port_out) {
 }
 
 int AcceptWithDeadline(int listen_fd, Deadline deadline) {
-  PollOne(listen_fd, POLLIN, deadline, "accept a rank connection");
+  CheckWiring(WaitFd(listen_fd, POLLIN, deadline, nullptr), "accept a rank connection");
   const int fd = accept(listen_fd, nullptr, nullptr);
   EGERIA_CHECK_MSG(fd >= 0, "accept() failed");
   SetNoDelay(fd);
@@ -353,7 +389,9 @@ class TcpTransport : public Transport {
         EncodeU32(ports[static_cast<size_t>(r)], map.data() + 4 * r);
       }
       for (int r = 1; r < world_; ++r) {
-        SendAllFd(ctrl_fds_[static_cast<size_t>(r)], map.data(), map.size(), deadline);
+        CheckWiring(SendAll(ctrl_fds_[static_cast<size_t>(r)], map.data(), map.size(),
+                            deadline, nullptr),
+                    "send the port map");
       }
       // Ring-next link, then accept whatever arrives: the RING hello from
       // rank W-1 and (heartbeat on) one HB hello per rank, in any order.
@@ -387,7 +425,8 @@ class TcpTransport : public Transport {
       SendHello(ctrl_fd_, Hello{kHelloJoin, static_cast<uint32_t>(rank_), my_port},
                 deadline);
       std::vector<uint8_t> map(4 * static_cast<size_t>(world_));
-      RecvAllFd(ctrl_fd_, map.data(), map.size(), deadline);
+      CheckWiring(RecvAll(ctrl_fd_, map.data(), map.size(), deadline, nullptr),
+                  "receive the port map");
       for (int r = 0; r < world_; ++r) {
         ports[static_cast<size_t>(r)] = static_cast<uint16_t>(DecodeU32(map.data() + 4 * r));
       }
@@ -446,12 +485,10 @@ class TcpTransport : public Transport {
   int World() const override { return world_; }
 
   // One ring step as a single frame each way. The pump streams the payload
-  // straight from/to the caller's buffers (no staging copies) and hashes it
-  // in bounded chunks interleaved with the socket I/O, so on multi-MiB frames
-  // the digest work runs while the kernel and the peer keep moving bytes
-  // instead of adding a serial whole-buffer pass. The digest TRAILS the
-  // payload so the sender can compute it while earlier payload bytes are
-  // already on the wire. Both directions use scatter-gather syscalls
+  // straight from/to the caller's buffers (no staging copies). The sender
+  // digests its payload once before the pump starts; the receiver hashes
+  // each chunk as it arrives, so its check needs no pass over the frame
+  // afterwards. Both directions use scatter-gather syscalls
   // (sendmsg/readv) spanning header, payload and trailer: the 20 framing
   // bytes ride in the same syscalls as the payload, which matters more than
   // it sounds — a separate 8-byte trailer recv would cost the receiver an
@@ -487,21 +524,13 @@ class TcpTransport : public Transport {
     uint8_t send_trl[kTrl];
     uint8_t recv_trl[kTrl];
     uint32_t send_seq = ring_send_seq_;
-    size_t s_hashed = 0;  // payload bytes fed to send_hash / recv_hash
-    size_t r_hashed = 0;
-    bool s_trl_ready = false;
     // Fault drills (fault_injection.h) alter the outgoing frame after its
     // digest is fixed, so only the receiver's checks can catch them.
     std::vector<uint8_t> corrupted;
     if (faults_ != nullptr) {
       if (send_bytes > 0 && faults_->TakeArmed(FaultKind::kCorrupt)) {
-        // Digest the intact payload, then send a copy with one byte flipped.
-        EncodeU64(FrameDigest64(sp, static_cast<size_t>(send_bytes)), send_trl);
-        s_hashed = static_cast<size_t>(send_bytes);
-        s_trl_ready = true;
-        corrupted.assign(sp, sp + send_bytes);
+        corrupted.assign(sp, sp + send_bytes);  // a copy, sent with one byte flipped
         corrupted[corrupted.size() / 2] ^= 0x40;
-        sp = corrupted.data();
       } else if (send_bytes > 0 && faults_->TakeArmed(FaultKind::kTruncate)) {
         send_bytes /= 2;  // announce and send half the payload
       } else if (faults_->TakeArmed(FaultKind::kDup)) {
@@ -512,24 +541,19 @@ class TcpTransport : public Transport {
     EncodeU32(send_seq, send_hdr + 4);
     EncodeU16(kFrameKindRing, send_hdr + 8);
     EncodeU16(static_cast<uint16_t>(rank_), send_hdr + 10);
+    EncodeU64(FrameDigest64(sp, static_cast<size_t>(send_bytes)), send_trl);
+    if (!corrupted.empty()) {
+      sp = corrupted.data();
+    }
 
-    // Hash-ahead granularity: large enough that the trailer is ready by the
-    // first sendmsg for typical frames (so the whole frame goes out in one
-    // gather-write), small enough that multi-MiB frames still hash in stream
-    // with the wire instead of in one serial prepass.
-    constexpr size_t kHashAheadBytes = size_t{1} << 20;
-    FrameDigestStream send_hash;
     FrameDigestStream recv_hash;
+    size_t r_hashed = 0;  // payload bytes fed to recv_hash
     const size_t s_payload_end = kHdr + static_cast<size_t>(send_bytes);
     const size_t r_payload_end = kHdr + static_cast<size_t>(recv_bytes);
     const size_t s_total = s_payload_end + kTrl;
     const size_t r_total = r_payload_end + kTrl;
     size_t s_done = 0;
     size_t r_done = 0;
-    if (send_bytes == 0) {
-      EncodeU64(send_hash.Finish(), send_trl);
-      s_trl_ready = true;
-    }
     bool r_hdr_checked = false;
     while (s_done < s_total || r_done < r_total) {
       if (AbortRequested()) {
@@ -563,36 +587,18 @@ class TcpTransport : public Transport {
         continue;
       }
       if (si >= 0 && (fds[si].revents & (POLLOUT | POLLERR | POLLHUP)) != 0) {
-        // Hash ahead of the wire: digest the payload chunk we are about to
-        // offer, so the trailer is ready to ride in the same gather-write as
-        // the final payload bytes. Only hashed payload enters the iovec — a
-        // send can never outrun the digest.
-        if (s_hashed < static_cast<size_t>(send_bytes)) {
-          const size_t take = std::min(
-              static_cast<size_t>(send_bytes) - s_hashed, kHashAheadBytes);
-          send_hash.Update(sp + s_hashed, take);
-          s_hashed += take;
-          if (s_hashed == static_cast<size_t>(send_bytes)) {
-            EncodeU64(send_hash.Finish(), send_trl);
-            s_trl_ready = true;
-          }
-        }
         struct iovec iov[3];
         int iovn = 0;
         if (s_done < kHdr) {
           iov[iovn++] = {send_hdr + s_done, kHdr - s_done};
         }
-        const size_t sent_payload =
-            s_done > kHdr ? std::min(s_done, s_payload_end) - kHdr : 0;
-        if (sent_payload < s_hashed) {
-          iov[iovn++] = {const_cast<uint8_t*>(sp) + sent_payload,
-                         s_hashed - sent_payload};
+        if (s_done < s_payload_end && send_bytes > 0) {
+          const size_t sent = s_done > kHdr ? s_done - kHdr : 0;
+          iov[iovn++] = {const_cast<uint8_t*>(sp) + sent,
+                         static_cast<size_t>(send_bytes) - sent};
         }
-        if (s_trl_ready) {
-          const size_t t_off =
-              s_done > s_payload_end ? s_done - s_payload_end : 0;
-          iov[iovn++] = {send_trl + t_off, kTrl - t_off};
-        }
+        const size_t t_off = s_done > s_payload_end ? s_done - s_payload_end : 0;
+        iov[iovn++] = {send_trl + t_off, kTrl - t_off};
         struct msghdr msg = {};
         msg.msg_iov = iov;
         msg.msg_iovlen = static_cast<size_t>(iovn);
@@ -704,36 +710,34 @@ class TcpTransport : public Transport {
     uint8_t token = 0;
     if (rank_ == 0) {
       for (int r = 1; r < world_; ++r) {
-        TransportStatus st = RecvAllStatus(ctrl_fds_[static_cast<size_t>(r)],
-                                           &token, 1, deadline, "barrier", r);
-        if (!st.ok()) {
-          return Fail(std::move(st));
+        const Io io = RecvAll(ctrl_fds_[static_cast<size_t>(r)], &token, 1, deadline,
+                              &abort_flag_);
+        if (io != Io::kOk) {
+          return Fail(ControlStatus(io, "barrier", r));
         }
       }
       token = 1;
       for (int r = 1; r < world_; ++r) {
-        TransportStatus st = SendAllStatus(ctrl_fds_[static_cast<size_t>(r)],
-                                           &token, 1, deadline, "barrier", r);
-        if (!st.ok()) {
-          return Fail(std::move(st));
+        const Io io = SendAll(ctrl_fds_[static_cast<size_t>(r)], &token, 1, deadline,
+                              &abort_flag_);
+        if (io != Io::kOk) {
+          return Fail(ControlStatus(io, "barrier", r));
         }
       }
     } else {
-      TransportStatus st = SendAllStatus(ctrl_fd_, &token, 1, deadline, "barrier", 0);
-      if (!st.ok()) {
-        return Fail(std::move(st));
+      Io io = SendAll(ctrl_fd_, &token, 1, deadline, &abort_flag_);
+      if (io == Io::kOk) {
+        io = RecvAll(ctrl_fd_, &token, 1, deadline, &abort_flag_);
       }
-      st = RecvAllStatus(ctrl_fd_, &token, 1, deadline, "barrier", 0);
-      if (!st.ok()) {
-        return Fail(std::move(st));
+      if (io != Io::kOk) {
+        return Fail(ControlStatus(io, "barrier", 0));
       }
     }
     return TransportStatus::Ok();
   }
 
-  // Broadcast frames travel over the control-plane star. Broadcast payloads
-  // are small control messages, so the digest is one-shot rather than
-  // streamed — overlap only pays on multi-MiB ring frames.
+  // Broadcast frames travel over the control-plane star. Each receiver
+  // digests the payload once it has arrived whole.
   TransportStatus Broadcast(const void* data, int64_t bytes,
                             std::vector<uint8_t>* out) override {
     if (!StartCollective()) {
@@ -771,11 +775,10 @@ class TcpTransport : public Transport {
       std::memcpy(frame.data() + sizeof(hdr) + static_cast<size_t>(bytes), trl,
                   sizeof(trl));
       for (int r = 1; r < world_; ++r) {
-        const int fd = ctrl_fds_[static_cast<size_t>(r)];
-        TransportStatus st = SendAllStatus(fd, frame.data(), frame.size(),
-                                           deadline, "broadcast", r);
-        if (!st.ok()) {
-          return Fail(std::move(st));
+        const Io io = SendAll(ctrl_fds_[static_cast<size_t>(r)], frame.data(),
+                              frame.size(), deadline, &abort_flag_);
+        if (io != Io::kOk) {
+          return Fail(ControlStatus(io, "broadcast", r));
         }
       }
       const auto* p = static_cast<const uint8_t*>(data);
@@ -783,10 +786,9 @@ class TcpTransport : public Transport {
       ++bcast_seq_;
       return TransportStatus::Ok();
     }
-    TransportStatus st =
-        RecvAllStatus(ctrl_fd_, hdr, sizeof(hdr), deadline, "broadcast", 0);
-    if (!st.ok()) {
-      return Fail(std::move(st));
+    Io io = RecvAll(ctrl_fd_, hdr, sizeof(hdr), deadline, &abort_flag_);
+    if (io != Io::kOk) {
+      return Fail(ControlStatus(io, "broadcast", 0));
     }
     const uint32_t frame_len = DecodeU32(hdr);
     if (frame_len < static_cast<uint32_t>(kFrameOverheadBytes)) {
@@ -819,10 +821,9 @@ class TcpTransport : public Transport {
     const size_t payload =
         frame_len - static_cast<uint32_t>(kFrameOverheadBytes);
     std::vector<uint8_t> rest(payload + sizeof(trl));
-    st = RecvAllStatus(ctrl_fd_, rest.data(), rest.size(), deadline,
-                       "broadcast", 0);
-    if (!st.ok()) {
-      return Fail(std::move(st));
+    io = RecvAll(ctrl_fd_, rest.data(), rest.size(), deadline, &abort_flag_);
+    if (io != Io::kOk) {
+      return Fail(ControlStatus(io, "broadcast", 0));
     }
     out->assign(rest.begin(), rest.end() - static_cast<long>(sizeof(trl)));
     const uint64_t claimed = DecodeU64(rest.data() + payload);
@@ -907,114 +908,39 @@ class TcpTransport : public Transport {
             FmtSeconds(io_timeout_s_) + "s (peer rank dead or stuck?)");
   }
 
-  TransportStatus PeerClosedStatus(const char* link, int peer, const char* how) const {
+  TransportStatus PeerClosedStatus(const char* link, int peer, const std::string& how) const {
     return TransportStatus::Error(
         TransportError::kPeerClosed,
         "rank " + std::to_string(rank_) + ": tcp " + link + " " +
             std::to_string(peer) + " " + how + " (peer crashed or exited)");
   }
 
-  // ---- Steady-state I/O: status-returning, abort-aware. ----
-
-  TransportStatus WaitReady(int fd, short events, Deadline deadline,
-                            const char* what) {
-    for (;;) {
-      if (AbortRequested()) {
+  // The typed status of a control-link transfer of collective `what` with
+  // rank `peer` that ended in `io`.
+  TransportStatus ControlStatus(Io io, const char* what, int peer) {
+    switch (io) {
+      case Io::kAborted:
         return AbortReason();
-      }
-      struct pollfd p = {fd, events, 0};
-      const int rc = poll(&p, 1, std::min(RemainingMs(deadline), kAbortPollMs));
-      if (rc > 0) {
-        return TransportStatus::Ok();
-      }
-      if (rc < 0 && errno == EINTR) {
-        continue;
-      }
-      if (rc < 0) {
-        return TransportStatus::Error(
-            TransportError::kIo, std::string("poll failed during ") + what);
-      }
-      if (Expired(deadline)) {
+      case Io::kTimeout:
         return TimeoutStatus(what);
-      }
-    }
-  }
-
-  TransportStatus SendAllStatus(int fd, const void* buf, size_t n,
-                                Deadline deadline, const char* what, int peer) {
-    const auto* p = static_cast<const uint8_t*>(buf);
-    size_t done = 0;
-    while (done < n) {
-      const ssize_t rc = ::send(fd, p + done, n - done, MSG_NOSIGNAL);
-      if (rc > 0) {
-        done += static_cast<size_t>(rc);
-        continue;
-      }
-      if (rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
-        TransportStatus st = WaitReady(fd, POLLOUT, deadline, what);
-        if (!st.ok()) {
-          return st;
-        }
-        continue;
-      }
-      return PeerClosedStatus("control link to rank", peer, what);
-    }
-    return TransportStatus::Ok();
-  }
-
-  TransportStatus RecvAllStatus(int fd, void* buf, size_t n, Deadline deadline,
-                                const char* what, int peer) {
-    auto* p = static_cast<uint8_t*>(buf);
-    size_t done = 0;
-    while (done < n) {
-      const ssize_t rc = ::recv(fd, p + done, n - done, 0);
-      if (rc > 0) {
-        done += static_cast<size_t>(rc);
-        continue;
-      }
-      if (rc == 0) {
+      case Io::kPollFailed:
+        return TransportStatus::Error(TransportError::kIo,
+                                      std::string("poll failed during ") + what);
+      default:
         return PeerClosedStatus("control link to rank", peer,
-                                done > 0 ? "closed mid-message" : "closed");
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-        TransportStatus st = WaitReady(fd, POLLIN, deadline, what);
-        if (!st.ok()) {
-          return st;
-        }
-        continue;
-      }
-      return PeerClosedStatus("control link to rank", peer, what);
+                                std::string(io == Io::kClosed ? "closed" : "failed") +
+                                    " during " + what);
     }
-    return TransportStatus::Ok();
   }
 
   // ---- Heartbeat failure detector ----
 
-  // Non-blocking 13-byte record send with a short bounded wait; false = link
-  // dead.
-  bool SendHbRecord(int fd, uint8_t type, uint32_t a, uint32_t b, uint32_t c) {
+  // One 13-byte record, bounded by 500 ms; false = link dead.
+  static bool SendHbRecord(int fd, uint8_t type, uint32_t a, uint32_t b, uint32_t c) {
     uint8_t rec[kHbRecordBytes];
     EncodeHbRecord(type, a, b, c, rec);
-    size_t done = 0;
-    const Deadline deadline =
-        Clock::now() + std::chrono::milliseconds(500);
-    while (done < sizeof(rec)) {
-      const ssize_t rc = ::send(fd, rec + done, sizeof(rec) - done, MSG_NOSIGNAL);
-      if (rc > 0) {
-        done += static_cast<size_t>(rc);
-        continue;
-      }
-      if (rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
-        if (Expired(deadline)) {
-          return false;
-        }
-        struct pollfd p = {fd, POLLOUT, 0};
-        poll(&p, 1, 10);
-        continue;
-      }
-      return false;
-    }
-    return true;
+    return SendAll(fd, rec, sizeof(rec), Clock::now() + std::chrono::milliseconds(500),
+                   nullptr) == Io::kOk;
   }
 
   // Ranks 1..W-1: beat twice per interval carrying the progress counters;

@@ -24,9 +24,11 @@
 // sender, and digest is FrameDigest64 of the payload (frame_digest.h). This
 // is the only TCP wire format. RingExchange pumps its send (to next) and recv
 // (from prev) sockets in one poll loop, so the full-duplex contract holds
-// even when both directions exceed kernel socket buffers, and hashes each
-// chunk as it crosses the wire, so checksumming adds no staging copy and no
-// extra blocking boundary. TCP_NODELAY is set on all links (collective steps
+// even when both directions exceed kernel socket buffers. The sender digests
+// its payload once before the pump starts and the receiver hashes each chunk
+// as it arrives, so checksumming adds no staging copy and no extra blocking
+// boundary. Wiring, the control-plane collectives and the heartbeat share one
+// bounded send/recv loop. TCP_NODELAY is set on all links (collective steps
 // are latency-bound small frames).
 //
 // Failure model (see src/distributed/README.md "Failure model"): every

@@ -654,8 +654,8 @@ TEST(TrainerResume, CheckpointedRunResumesBitwiseIdentical) {
 TEST(TrainerResume, AdamStateSurvivesResumeBitwise) {
   // Same drill without Egeria but with Adam: moments + step counters must
   // round-trip for the continuation to match.
-  auto run = [](const std::string& ckpt_dir, int64_t stop_after,
-                bool fresh) -> std::pair<uint64_t, int64_t> {
+  auto run = [](const std::string& ckpt_dir,
+                int64_t stop_after) -> std::pair<uint64_t, int64_t> {
     TrainerWorkload w = MakeTrainerWorkload(9);
     TrainConfig cfg;
     cfg.epochs = 3;
@@ -667,18 +667,17 @@ TEST(TrainerResume, AdamStateSurvivesResumeBitwise) {
     if (!ckpt_dir.empty()) {
       cfg.ckpt.dir = ckpt_dir;
       cfg.ckpt.interval_iters = 10;
-      cfg.ckpt.resume = !fresh;
     }
     cfg.stop_after_iters = stop_after;
     Trainer t(*w.model, *w.train, *w.val, cfg);
     TrainResult r = t.Run();
     return {HashModelState(*w.model), r.resumed_from_iter};
   };
-  const auto [ref_hash, ref_resumed] = run("", -1, true);
+  const auto [ref_hash, ref_resumed] = run("", -1);
   EXPECT_EQ(ref_resumed, -1);
   TempDir dir("adam");
-  run(dir.path, 25, /*fresh=*/true);
-  const auto [resumed_hash, resumed_from] = run(dir.path, -1, /*fresh=*/false);
+  run(dir.path, 25);  // a new, empty directory: nothing to resume
+  const auto [resumed_hash, resumed_from] = run(dir.path, -1);
   EXPECT_EQ(resumed_from, 25);
   EXPECT_EQ(resumed_hash, ref_hash);
 }

@@ -1,12 +1,13 @@
-// Failure-path coverage for the self-healing transport stack: frame digests,
-// deterministic fault injection (plan parsing, seed expansion, and each
-// transport-level kind firing inside the TCP transport's framed pump, the
-// wire path every world ships with), the framed pump's typed error taxonomy
-// (checksum / sequence), and the collective error paths — a peer that
-// corrupts, truncates, replays, or drops must surface as a typed
+// Failure-path coverage for the self-healing transport stack: frame digests
+// (one-shot and streamed), deterministic fault injection (plan parsing, seed
+// expansion, and each transport-level kind firing inside the TCP transport's
+// framed pump, the wire path every world ships with), the framed pump's typed
+// error taxonomy (checksum / sequence), and the collective error paths — a
+// peer that corrupts, truncates, replays, or drops must surface as a typed
 // TransportStatus on the affected ranks, never as a hang or a crash.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <set>
 #include <string>
@@ -15,6 +16,7 @@
 #include "src/distributed/transport/fault_injection.h"
 #include "src/distributed/transport/frame_digest.h"
 #include "src/distributed/transport/tcp_transport.h"
+#include "src/util/rng.h"
 #include "tests/tcp_world.h"
 
 namespace egeria {
@@ -39,6 +41,36 @@ TEST(FrameDigest, DeterministicAndSensitive) {
   // Length is part of the digest: a truncated frame never matches.
   EXPECT_NE(d, FrameDigest64(buf.data(), buf.size() - 1));
   EXPECT_NE(FrameDigest64(buf.data(), 0), FrameDigest64(buf.data(), 1));
+}
+
+// The ring receiver hashes whatever chunks recv() delivers, so the stream
+// must give the one-shot digest of the whole buffer for any split of it.
+TEST(FrameDigest, StreamMatchesOneShotForAnyChunking) {
+  std::vector<uint8_t> buf(4096);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  Rng rng(11);
+  for (size_t len = 0; len <= buf.size(); len += len < 256 ? 1 : 61) {
+    const uint64_t whole = FrameDigest64(buf.data(), len);
+    for (size_t chunk : {size_t{1}, size_t{7}, size_t{63}, size_t{64}, size_t{65}}) {
+      FrameDigestStream stream;
+      for (size_t off = 0; off < len; off += chunk) {
+        stream.Update(buf.data() + off, std::min(chunk, len - off));
+      }
+      EXPECT_EQ(stream.Finish(), whole) << "len " << len << ", chunks of " << chunk;
+    }
+    for (int split = 0; split < 4; ++split) {
+      FrameDigestStream stream;
+      for (size_t off = 0; off < len;) {
+        // Empty updates included: a recv() can hand over header bytes only.
+        const size_t n = std::min<size_t>(len - off, rng.NextBelow(200));
+        stream.Update(buf.data() + off, n);
+        off += n;
+      }
+      EXPECT_EQ(stream.Finish(), whole) << "len " << len << ", random split " << split;
+    }
+  }
 }
 
 // ---- FaultPlan parsing (the strict --fault contract) ----

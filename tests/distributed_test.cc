@@ -16,7 +16,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 
 #include "src/baselines/freeze_baselines.h"
 #include "src/ckpt/checkpoint.h"
@@ -128,30 +127,15 @@ TEST(CommScheduler, ExposedCommShrinksWithPriorityScheduling) {
 }
 
 TEST(AllReduce, AveragesGradientsAcrossRanks) {
-  const int world = 3;
-  GradientAllReducer reducer(world);
-  std::vector<std::unique_ptr<Parameter>> params;
-  for (int r = 0; r < world; ++r) {
-    auto p = std::make_unique<Parameter>("w", Tensor::Zeros({4}));
-    p->grad.Fill_(static_cast<float>(r + 1));  // grads 1, 2, 3 -> mean 2.
-    params.push_back(std::move(p));
-  }
-  std::vector<std::thread> threads;
-  std::vector<std::vector<Parameter*>> lists(world);
-  for (int r = 0; r < world; ++r) {
-    lists[static_cast<size_t>(r)] = {params[static_cast<size_t>(r)].get()};
-    threads.emplace_back(
-        [&, r] { reducer.AllReduce(r, lists[static_cast<size_t>(r)]); });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  for (int r = 0; r < world; ++r) {
+  RunTcpWorld(3, [&](int rank, Transport& transport) {
+    Parameter p("w", Tensor::Zeros({4}));
+    p.grad.Fill_(static_cast<float>(rank + 1));  // grads 1, 2, 3 -> mean 2.
+    FlatParamView grads({&p}, FlatParamView::Field::kGrad);
+    ASSERT_TRUE(StarAllReduce(transport, grads).ok());
     for (int64_t i = 0; i < 4; ++i) {
-      EXPECT_FLOAT_EQ(params[static_cast<size_t>(r)]->grad.At(i), 2.0F);
+      EXPECT_FLOAT_EQ(p.grad.At(i), 2.0F) << "rank " << rank;
     }
-  }
-  EXPECT_EQ(reducer.TotalBytesReduced(), 4 * 4);
+  });
 }
 
 // ---- Ring reducer vs sequential reference (the reduction contract) ----
@@ -226,36 +210,21 @@ struct RingRunStats {
   int64_t wire_sum = 0;
 };
 
-// Runs the reference star reduce on `ref` and ring RS+AG over TCP on
-// `ring_set` (both restricted to params [first, end)), then asserts every
-// rank's every gradient is bitwise-identical across the two reducers.
+// Runs the reference star reduce on `ref` and then ring RS+AG on `ring_set`
+// in one TCP world (both restricted to params [first, end)), and asserts
+// every rank's every gradient is bitwise-identical across the two reducers.
 RingRunStats ReduceBothAndExpectBitwiseEqual(int world,
                                              std::vector<ParamSet>& ref,
                                              std::vector<ParamSet>& ring_set,
-                                             size_t first,
-                                             GradientAllReducer& reference) {
-  std::vector<std::vector<Parameter*>> ref_lists(static_cast<size_t>(world));
-  std::vector<std::vector<Parameter*>> ring_lists(static_cast<size_t>(world));
-  for (int r = 0; r < world; ++r) {
-    ref_lists[static_cast<size_t>(r)] = Suffix(ref[static_cast<size_t>(r)], first);
-    ring_lists[static_cast<size_t>(r)] = Suffix(ring_set[static_cast<size_t>(r)], first);
-  }
-  {
-    std::vector<std::thread> threads;
-    for (int r = 0; r < world; ++r) {
-      threads.emplace_back([&, r] {
-        reference.AllReduce(r, ref_lists[static_cast<size_t>(r)]);
-      });
-    }
-    for (auto& t : threads) {
-      t.join();
-    }
-  }
+                                             size_t first) {
   RingRunStats stats;
   std::mutex stats_mutex;
   RunTcpWorld(world, [&](int rank, Transport& transport) {
+    FlatParamView ref_view(Suffix(ref[static_cast<size_t>(rank)], first),
+                           FlatParamView::Field::kGrad);
+    ASSERT_TRUE(StarAllReduce(transport, ref_view).ok());
     RingAllReducer ring(transport);
-    FlatParamView view(ring_lists[static_cast<size_t>(rank)],
+    FlatParamView view(Suffix(ring_set[static_cast<size_t>(rank)], first),
                        FlatParamView::Field::kGrad);
     ASSERT_TRUE(ring.ReduceScatterAverage(view, nullptr).ok());
     ASSERT_TRUE(ring.AllGather(view).ok());
@@ -290,13 +259,11 @@ TEST(RingAllReduce, BitwiseMatchesSequentialReference) {
       ring_set.push_back(MakeParams(sizes, rng));
       CopyGrads(ref.back(), ring_set.back());
     }
-    GradientAllReducer reference(world);
-    const RingRunStats stats =
-        ReduceBothAndExpectBitwiseEqual(world, ref, ring_set, 0, reference);
-    EXPECT_EQ(reference.TotalBytesReduced(), stats.payload_rank0);
+    const RingRunStats stats = ReduceBothAndExpectBitwiseEqual(world, ref, ring_set, 0);
+    const int64_t total = 29;
+    EXPECT_EQ(stats.payload_rank0, total * static_cast<int64_t>(sizeof(float)));
     // Ring wire traffic is exactly 2(W-1)/W of the payload per link; summed
     // over the W links that is 2(W-1) x payload for reduce-scatter+all-gather.
-    const int64_t total = 29;
     EXPECT_EQ(stats.wire_sum,
               2 * (world - 1) * total * static_cast<int64_t>(sizeof(float)));
   }
@@ -316,7 +283,6 @@ TEST(RingAllReduce, RepartitionMidRunStaysBitwise) {
       ring_set.push_back(MakeParams(sizes, rng));
       CopyGrads(ref.back(), ring_set.back());
     }
-    GradientAllReducer reference(world);
     for (size_t frozen_params : {size_t{0}, size_t{2}, size_t{3}, size_t{5}}) {
       // Fresh local gradients each round, identical across reducers.
       for (int r = 0; r < world; ++r) {
@@ -327,7 +293,7 @@ TEST(RingAllReduce, RepartitionMidRunStaysBitwise) {
         }
         CopyGrads(ref[static_cast<size_t>(r)], ring_set[static_cast<size_t>(r)]);
       }
-      ReduceBothAndExpectBitwiseEqual(world, ref, ring_set, frozen_params, reference);
+      ReduceBothAndExpectBitwiseEqual(world, ref, ring_set, frozen_params);
     }
   }
 }
@@ -346,8 +312,51 @@ TEST(RingAllReduce, TinyPayloadLeavesEmptyChunks) {
     ring_set.push_back(MakeParams(sizes, rng));
     CopyGrads(ref.back(), ring_set.back());
   }
-  GradientAllReducer reference(world);
-  ReduceBothAndExpectBitwiseEqual(world, ref, ring_set, 0, reference);
+  ReduceBothAndExpectBitwiseEqual(world, ref, ring_set, 0);
+}
+
+// The reference pinned to the contract itself rather than to another
+// reducer: every rank's StarAllReduce result equals, bit for bit, the fold
+// computed here from every rank's inputs — chunk c is
+// ((g[(c+1)%W] + g[(c+2)%W]) + ...) + g[c], then x 1/W. 29 elements leave
+// uneven chunks at every world size; 3 elements leave chunk 3 empty at W=4.
+TEST(StarAllReduce, MatchesTheContractFoldBitwise) {
+  for (int world : {2, 3, 4}) {
+    for (const std::vector<int64_t>& sizes :
+         {std::vector<int64_t>{5, 7, 3, 11, 2, 1}, std::vector<int64_t>{2, 1}}) {
+      Rng rng(4321 + static_cast<uint64_t>(world));
+      std::vector<ParamSet> sets;
+      std::vector<std::vector<float>> g;
+      for (int r = 0; r < world; ++r) {
+        sets.push_back(MakeParams(sizes, rng));
+        const FlatParamView view(Suffix(sets.back(), 0), FlatParamView::Field::kGrad);
+        g.emplace_back(static_cast<size_t>(view.NumEl()));
+        view.CopyOut(0, view.NumEl(), g.back().data());
+      }
+      const int64_t total = static_cast<int64_t>(g[0].size());
+      std::vector<float> expected(static_cast<size_t>(total));
+      for (int c = 0; c < world; ++c) {
+        const Span chunk = ChunkSpan(total, world, c);
+        for (auto i = static_cast<size_t>(chunk.begin); i < static_cast<size_t>(chunk.end);
+             ++i) {
+          float sum = g[static_cast<size_t>((c + 1) % world)][i];
+          for (int k = 2; k <= world; ++k) {
+            sum += g[static_cast<size_t>((c + k) % world)][i];
+          }
+          expected[i] = sum * (1.0F / static_cast<float>(world));
+        }
+      }
+      RunTcpWorld(world, [&](int rank, Transport& transport) {
+        FlatParamView view(Suffix(sets[static_cast<size_t>(rank)], 0),
+                           FlatParamView::Field::kGrad);
+        ASSERT_TRUE(StarAllReduce(transport, view).ok());
+        std::vector<float> got(static_cast<size_t>(total));
+        view.CopyOut(0, total, got.data());
+        EXPECT_EQ(0, std::memcmp(got.data(), expected.data(), got.size() * sizeof(float)))
+            << "world=" << world << " total=" << total << " rank=" << rank;
+      });
+    }
+  }
 }
 
 TEST(RingAllReduce, WorldOneIsIdentity) {

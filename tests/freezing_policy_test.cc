@@ -13,7 +13,6 @@ EgeriaConfig SmallConfig() {
   EgeriaConfig cfg;
   cfg.window_w = 4;
   cfg.tolerance_coef = 0.2;
-  cfg.protected_tail = 1;
   return cfg;
 }
 
@@ -107,15 +106,13 @@ TEST(FreezingPolicy, SequentialModulesFreezeInOrder) {
   EXPECT_EQ(policy.frontier(), 2);
   EXPECT_GT(FeedSeries(policy, 2, plateau_after_drop), 0);
   EXPECT_EQ(policy.frontier(), 3);
-  // Stage 3 is the max freezable (protected_tail=1 of 5 stages -> max index 3).
+  // Stage 3 is the max freezable (the head, stage 4 of 5, is protected).
   EXPECT_EQ(policy.MaxFreezable(), 3);
 }
 
 TEST(FreezingPolicy, ProtectedTailNeverFreezes) {
-  EgeriaConfig cfg = SmallConfig();
-  cfg.protected_tail = 2;
-  FreezingPolicy policy(cfg, 3, true);
-  // MaxFreezable = 3 - 1 - 2 = 0: only stage 0 may freeze.
+  FreezingPolicy policy(SmallConfig(), 2, true);
+  // MaxFreezable = 2 - 1 - 1 = 0: only stage 0 may freeze, never the head.
   EXPECT_EQ(policy.MaxFreezable(), 0);
   std::vector<double> plateau(30, 0.1);
   FeedSeries(policy, 0, plateau);

@@ -341,8 +341,7 @@ int Main(int argc, char** argv) {
     }
   };
 
-  RankTrainResult r =
-      TrainRank(*transport, w.make_model, *w.train, *w.val, w.cfg, nullptr);
+  RankTrainResult r = TrainRank(*transport, w.make_model, *w.train, *w.val, w.cfg);
   if (!r.status.ok()) {
     trace::AddInstantF("worker", "abort", "{\"code\":\"%s\"}",
                        r.status.code_name());
