@@ -9,6 +9,7 @@
 
 #include "src/metrics/pwcca.h"
 #include "src/metrics/sp_loss.h"
+#include "src/nn/batchnorm.h"
 #include "src/nn/conv2d.h"
 #include "src/nn/linear.h"
 #include "src/quant/quantized_modules.h"
@@ -122,6 +123,31 @@ BENCHMARK(BM_Conv2dTrainStep)
     ->Args({16, 4, 24, 12, 1, 1})
     // DeepLab's dilated 3x3.
     ->Args({16, 24, 24, 6, 3, 2});
+
+// BatchNorm2d forward + backward with batch statistics, at the ResNet shapes
+// above (channels = the convolution's output channels).
+void BM_BatchNorm2dTrainStep(benchmark::State& state) {
+  const int64_t batch = state.range(0);
+  const int64_t channels = state.range(1);
+  const int64_t hw = state.range(2);
+  Rng rng(6);
+  BatchNorm2d bn("bn", channels);
+  Tensor x = Tensor::Randn({batch, channels, hw, hw}, rng);
+  Tensor dy = Tensor::Randn({batch, channels, hw, hw}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bn.Forward(x));
+    benchmark::DoNotOptimize(bn.Backward(dy));
+  }
+}
+BENCHMARK(BM_BatchNorm2dTrainStep)
+    ->ArgNames({"b", "c", "hw"})
+    // ResNet-56 (cnn-freeze, cnn-nofreeze) stages.
+    ->Args({16, 4, 12})
+    ->Args({16, 8, 6})
+    ->Args({16, 16, 3})
+    // ResNet-20 (dist-w2) stages.
+    ->Args({16, 8, 12})
+    ->Args({16, 32, 3});
 
 void BM_ConvForwardInt8(benchmark::State& state) {
   Rng rng(2);

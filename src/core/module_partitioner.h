@@ -27,8 +27,9 @@ namespace egeria {
 struct PartitionConfig {
   int target_modules = 7;
   // Any block whose name contains this substring starts a new module (the paper's
-  // layer-granularity regex option). Empty disables.
-  std::string boundary_pattern;
+  // layer-granularity regex option). Empty disables. The initializer keeps
+  // `PartitionConfig{.target_modules = N}` free of -Wmissing-field-initializers.
+  std::string boundary_pattern = {};
 };
 
 struct PartitionSummary {

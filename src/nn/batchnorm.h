@@ -6,6 +6,16 @@
 // depends only on its input and cached activations stay valid. SetFrozen(true) here
 // does exactly that; the running statistics stop updating and Forward normalizes with
 // them regardless of training mode.
+//
+// Batch sums: each channel's mean and variance (Forward) and sum(dy) and
+// sum(dy * xhat) (Backward) are double chains over the channel's elements, items
+// ascending, then pixels, from +0. Up to eight channels run side by side, one
+// accumulator lane per channel, so every chain keeps that order and results equal a
+// one-channel-at-a-time loop bit for bit. `var += d * d` and
+// `sum_dy_xhat += dy * xhat` are written as plain expressions, so they fuse into
+// FMAs exactly where the compiler contracts them (any FMA target) and stay a
+// multiply and an add elsewhere. tests/batchnorm_test.cc pins this with memcmp
+// (src/tensor/README.md, "BatchNorm2d").
 #ifndef EGERIA_SRC_NN_BATCHNORM_H_
 #define EGERIA_SRC_NN_BATCHNORM_H_
 

@@ -219,6 +219,48 @@ TEST(TraceToolTest, DiagnoseNamesStragglerAndCommWaitBound) {
   EXPECT_NE(strict.output.find("straggler: none"), std::string::npos);
 }
 
+TEST(TraceToolTest, DiagnoseCountsAStragglersStallOnce) {
+  // The shape of scripts/check.sh's injected-delay drill: rank 1 stalls for
+  // 2.402 s outside every phase span (its gap), and rank 0 waits 2.405 s for
+  // it in comm_wait. Both are the same stall, so the critical path, which
+  // takes each rank's comm_wait + gap as one wait, stays within the wall
+  // clock: 0.002 + 0.011 + max(2.405 + 0.005, 0.003 + 2.402) = 2.423 s.
+  const std::string r0 = TmpPath("/tt_stall_r0.json");
+  const std::string r1 = TmpPath("/tt_stall_r1.json");
+  WriteTraceFile(
+      r0, 0, 0.0,
+      {SpanLine(0, 1, 0.0, 2423000.0, "trainer", "train"),
+       SpanLine(0, 1, 0.0, 2000.0, "trainer", "data"),
+       SpanLine(0, 1, 2000.0, 4000.0, "trainer", "fp"),
+       SpanLine(0, 1, 6000.0, 6000.0, "trainer", "bp"),
+       SpanLine(0, 1, 12000.0, 2405000.0, "trainer", "comm_wait"),
+       SpanLine(0, 1, 2417000.0, 1000.0, "trainer", "opt")});
+  WriteTraceFile(
+      r1, 1, 0.0,
+      {SpanLine(1, 1, 0.0, 2418000.0, "trainer", "train"),
+       SpanLine(1, 1, 0.0, 2000.0, "trainer", "data"),
+       SpanLine(1, 1, 2000.0, 4000.0, "trainer", "fp"),
+       SpanLine(1, 1, 6000.0, 6000.0, "trainer", "bp"),
+       SpanLine(1, 1, 2414000.0, 3000.0, "trainer", "comm_wait"),
+       SpanLine(1, 1, 2417000.0, 1000.0, "trainer", "opt")});
+
+  const ToolRun run = RunTraceTool("--diagnose " + r0 + " " + r1);
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_NE(run.output.find("\"classification\":\"comm-wait-bound\""),
+            std::string::npos)
+      << run.output;
+  double v = 0.0;
+  ASSERT_TRUE(DiagnosisField(run.output, "straggler_rank", &v)) << run.output;
+  EXPECT_EQ(static_cast<int>(v), 1);
+  double critical_path_s = 0.0;
+  double wall_s = 0.0;
+  ASSERT_TRUE(DiagnosisField(run.output, "critical_path_s", &critical_path_s));
+  ASSERT_TRUE(DiagnosisField(run.output, "wall_s", &wall_s));
+  EXPECT_NEAR(wall_s, 2.423, 1e-6);
+  EXPECT_LE(critical_path_s, wall_s) << run.output;
+  EXPECT_NEAR(critical_path_s, 2.423, 1e-6);
+}
+
 TEST(TraceToolTest, DiagnoseClassifiesComputeBoundBalancedRun) {
   // Both ranks identical and compute-heavy: no straggler, compute-bound.
   const std::vector<std::string> events = {
@@ -243,7 +285,7 @@ TEST(TraceToolTest, DiagnoseClassifiesComputeBoundBalancedRun) {
   ASSERT_TRUE(DiagnosisField(run.output, "straggler_rank", &v));
   EXPECT_EQ(static_cast<int>(v), -1);
   ASSERT_TRUE(DiagnosisField(run.output, "critical_path_s", &v));
-  // data 0.1 + compute 2.5 + comm_wait 0.2 + gap 0.1 = 2.9 (== train).
+  // data 0.1 + compute 2.5 + wait (comm_wait 0.2 + gap 0.1) = 2.9 (== train).
   EXPECT_NEAR(v, 2.9, 0.01);
   // The diagnosis carries no overlap metric: there is one ring schedule.
   EXPECT_FALSE(DiagnosisField(run.output, "overlap_efficiency_pct", &v));

@@ -25,8 +25,9 @@
 // --diagnose runs the bottleneck diagnosis engine over the merged timeline:
 // a per-rank phase breakdown with the unattributed gap (time inside
 // trainer.train covered by no phase span — where cross-rank waits like a
-// frontier broadcast stalled behind a straggler land), a per-phase critical
-// path (the slowest rank of each phase), a data-/compute-/comm-wait-bound
+// frontier broadcast stalled behind a straggler land), a critical path (the
+// slowest rank's data, compute and wait, where a rank's wait is its comm_wait
+// plus its gap), a data-/compute-/comm-wait-bound
 // classification naming the dominant phase and rank, and straggler detection
 // (per-rank load = compute + gap; skew = max/median, reported when it exceeds
 // --straggler-skew). Output is a human report plus one machine-readable
@@ -471,6 +472,9 @@ int main(int argc, char** argv) {
         return std::max(0.0, train - (data + compute() + comm_wait));
       }
       double load() const { return compute() + gap(); }
+      // Every second the rank spent waiting on its peers, inside or outside
+      // a comm_wait span.
+      double wait() const { return comm_wait + gap(); }
     };
     std::map<int, RankDiag> diag;
     for (const RankFile& rf : ranks) {
@@ -496,29 +500,33 @@ int main(int argc, char** argv) {
                   d.train);
     }
 
-    // Per-phase critical path: the slowest rank of each phase bounds the
-    // world (data-parallel ranks sync every iteration), so the sum of
-    // per-phase maxima approximates the iteration-loop critical path.
+    // Per-phase maxima: the slowest rank of each phase bounds the world
+    // (data-parallel ranks sync every iteration).
     struct PhaseMax {
       const char* name;
       double seconds = 0.0;
       int rank = 0;
     };
-    PhaseMax phase_max[] = {{"data"}, {"compute"}, {"comm_wait"}, {"gap"}};
+    PhaseMax phase_max[] = {{"data"}, {"compute"}, {"comm_wait"}, {"gap"}, {"wait"}};
     for (const auto& [rank, d] : diag) {
-      const double vals[] = {d.data, d.compute(), d.comm_wait, d.gap()};
-      for (int i = 0; i < 4; ++i) {
+      const double vals[] = {d.data, d.compute(), d.comm_wait, d.gap(), d.wait()};
+      for (int i = 0; i < 5; ++i) {
         if (vals[i] > phase_max[i].seconds) {
           phase_max[i].seconds = vals[i];
           phase_max[i].rank = rank;
         }
       }
     }
+    // The critical path adds the slowest data, compute and wait. A
+    // straggler's stall is its own gap and its peers' comm_wait at the same
+    // time, so the path takes each rank's comm_wait + gap as one wait:
+    // adding the two maxima would count the stall twice.
+    const PhaseMax* path[] = {&phase_max[0], &phase_max[1], &phase_max[4]};
     double critical_path_s = 0.0;
     std::printf("critical path:");
-    for (const PhaseMax& pm : phase_max) {
-      critical_path_s += pm.seconds;
-      std::printf(" %s=%.3fs(rank %d)", pm.name, pm.seconds, pm.rank);
+    for (const PhaseMax* pm : path) {
+      critical_path_s += pm->seconds;
+      std::printf(" %s=%.3fs(rank %d)", pm->name, pm->seconds, pm->rank);
     }
     std::printf(" total=%.3fs\n", critical_path_s);
 
