@@ -1,18 +1,19 @@
 // Background checkpoint writer: takes snapshot-write jobs off the training
 // hot path, so a save's file writes run behind the next iteration's compute.
 //
-// Protocol (the Trainer's deferred-commit save, at every world size; a
-// Trainer creates its writer only when checkpointing is on):
-//   1. At a checkpoint boundary the trainer CAPTURES its state in memory —
-//      ExportModelState/ExportModelBuffers and the optimizer export clone
-//      tensors, ExportShard copies the velocity shard — so the live model may
-//      keep training immediately.
+// Protocol (the Trainer's deferred-commit save, at every world size; only
+// rank 0 writes, and its Trainer creates a writer only when checkpointing is
+// on):
+//   1. At a checkpoint boundary rank 0 CAPTURES the world's state in memory —
+//      GradientSync::CaptureState gathers every rank's buffers and momentum
+//      shard and clones the weights and optimizer state — so the live model
+//      may keep training immediately.
 //   2. The captured snapshot is Submit()ted; this thread serializes it to the
 //      step directory while the next iteration computes (the double buffer:
 //      live state in the model, frozen state in the job).
-//   3. At the NEXT collective boundary every rank Wait()s for its local write,
-//      reduces the typed per-rank status, and only then does rank 0 hash the
-//      files into a manifest and commit. A crash in between leaves the step
+//   3. At the NEXT collective boundary every rank meets at a barrier, and
+//      only then does rank 0 Wait() for the write, hash the files into a
+//      manifest and commit. A crash in between leaves the step
 //      manifest-less — invisible to resume — exactly like the synchronous
 //      path's abort-before-commit guarantee.
 //

@@ -1,22 +1,20 @@
 // Versioned training-state checkpoints with an atomic manifest commit.
 //
-// On-disk layout (one root directory per run; the same layout at every world
-// size, written by Trainer):
+// On-disk layout (one root directory per run; the same four files at every
+// world size and for every gradient sync, all written by rank 0):
 //   <root>/step_000000056/          one complete snapshot at iteration 56
-//     model.state                   rank 0's model state dict (+ the
-//                                   replicated optimizer's state)
+//     model.state                   weights, every replica's BatchNorm
+//                                   statistics and the optimizer state
 //     trainer.state                 bootstrap / knowledge-stage state
 //     controller.state              freezing policy + reference snapshot (Egeria)
-//     buffers_r0.state ...          per-rank BatchNorm running statistics
-//     shard_r0.state ...            per-rank ZeRO-1 momentum shards (ring sync)
 //     MANIFEST                      commit record: header kv + per-file checksums
 //
-// Commit protocol: every data file is written first (each rank writes its own
-// files, then the ranks reduce their write status), and only then is MANIFEST
-// written to MANIFEST.tmp and atomically renamed into place by rank 0. A step
-// directory WITHOUT a MANIFEST is by definition incomplete — a crash at any
-// point leaves either a complete older checkpoint or an incomplete directory
-// that discovery ignores and retention sweeps. Readers additionally verify
+// Commit protocol: every data file is written first, and only once every
+// rank has reached the commit point is MANIFEST written to MANIFEST.tmp and
+// atomically renamed into place by rank 0. A step directory WITHOUT a
+// MANIFEST is by definition incomplete — a crash at any point leaves either a
+// complete older checkpoint or an incomplete directory that discovery ignores
+// and retention sweeps. Readers additionally verify
 // every listed file's size and FNV-1a checksum before trusting a checkpoint,
 // so a torn or bit-flipped file demotes the whole step to "incomplete" rather
 // than feeding garbage into a resume.
@@ -24,7 +22,7 @@
 // Retention: keep the newest `keep_last` complete checkpoints; older complete
 // steps and incomplete debris older than the newest complete step are
 // deleted. Incomplete directories NEWER than the latest complete checkpoint
-// are left alone (they may be a write in progress by concurrent ranks).
+// are left alone (they may be a write in progress).
 #ifndef EGERIA_SRC_CKPT_CHECKPOINT_H_
 #define EGERIA_SRC_CKPT_CHECKPOINT_H_
 
@@ -61,9 +59,10 @@ struct ManifestFile {
 };
 
 struct CkptManifest {
-  // 2: the one layout above. Version 1 steps (separate single-process and
-  // distributed layouts) are not read.
-  int version = 2;
+  // 3: the layout above, written by rank 0 alone. Steps of older versions
+  // (2 kept every rank's buffers and momentum shard in files of its own) are
+  // not read.
+  int version = 3;
   int64_t iter = 0;        // iterations completed when the snapshot was taken
   int world = 1;           // world size that wrote it
   int frontier = 0;

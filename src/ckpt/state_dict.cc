@@ -104,19 +104,16 @@ bool LoadModelStateFile(const std::string& path, ChainModel& model) {
   return LoadModelState(ckpt, model);
 }
 
-Checkpoint ExportModelBuffers(ChainModel& model) {
-  Checkpoint ckpt;
-  for (const auto& [name, tensor] : CollectModelBuffers(model)) {
-    ckpt.emplace(name, tensor->Clone());
-  }
-  return ckpt;
+std::string ReplicaBufferName(const std::string& name, int replica) {
+  return replica == 0 ? name : name + "@r" + std::to_string(replica);
 }
 
-bool LoadModelBuffers(const Checkpoint& ckpt, ChainModel& model) {
+bool LoadModelBuffers(const Checkpoint& ckpt, int replica, ChainModel& model) {
   for (auto& [name, tensor] : CollectModelBuffers(model)) {
-    const auto it = ckpt.find(name);
+    const auto it = ckpt.find(ReplicaBufferName(name, replica));
     if (it == ckpt.end() || it->second.NumEl() != tensor->NumEl()) {
-      EGERIA_LOG(kError) << "buffer section missing/misshapen entry " << name;
+      EGERIA_LOG(kError) << "replica " << replica << " buffers: missing/misshapen entry "
+                         << name;
       return false;
     }
     std::memcpy(tensor->Data(), it->second.Data(),

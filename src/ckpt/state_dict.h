@@ -37,10 +37,13 @@ std::vector<StateEntry> CollectModelState(ChainModel& model);
 // in data-parallel training: BatchNorm running statistics are a function of
 // each rank's local batch history and are never synchronized (they also do
 // not feed the training forward, which normalizes with batch statistics — so
-// replicas stay weight-consistent while their buffers differ). Distributed
-// checkpoints therefore persist one buffer section per rank alongside the
-// shared weights.
+// replicas stay weight-consistent while their buffers differ). A world's
+// model.state therefore holds every replica's buffers (ReplicaBufferName).
 std::vector<StateEntry> CollectModelBuffers(ChainModel& model);
+
+// The key of replica `replica`'s copy of buffer entry `name` in a world's
+// model.state: `name` itself for replica 0, "<name>@r<replica>" otherwise.
+std::string ReplicaBufferName(const std::string& name, int replica);
 
 // Name -> parameter pointer for the model's full parameter list, using the
 // same p<stage>.<index> keys as CollectModelState. The optimizer serializers
@@ -61,10 +64,9 @@ bool SaveModelState(const std::string& path, ChainModel& model);
 bool LoadModelState(const Checkpoint& ckpt, ChainModel& model);
 bool LoadModelStateFile(const std::string& path, ChainModel& model);
 
-// Buffer-section counterparts (save/restore of one replica's b<stage>.*
-// entries only).
-Checkpoint ExportModelBuffers(ChainModel& model);
-bool LoadModelBuffers(const Checkpoint& ckpt, ChainModel& model);
+// Restores replica `replica`'s buffers (its b<stage>.* entries) from a
+// world's model.state.
+bool LoadModelBuffers(const Checkpoint& ckpt, int replica, ChainModel& model);
 
 // FNV-1a over the state dict's raw bytes in enumeration order — the same
 // fingerprint idiom as the distributed params_hash, extended to buffers.

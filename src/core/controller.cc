@@ -118,19 +118,18 @@ namespace {
 constexpr uint32_t kControllerMagic = 0x4F434745;  // 'EGCO'
 constexpr uint32_t kControllerVersion = 2;
 
-// DFS over the model's stage modules, visiting every quantized leaf of the
-// reference model in a deterministic order. Rebuilding the reference from the
-// saved snapshot reproduces the int8 weights bit-for-bit (quantization is a
-// pure function of the floats), but NOT the static-mode activation
-// calibration, which accrues across evaluation forwards — so that state is
-// carried explicitly.
-template <class Fn>
-void ForEachQuantModule(ChainModel& model, Fn&& fn) {
+// DFS over the model's stage modules, visiting the activation quantizer of
+// every quantized leaf of the reference model in a deterministic order.
+// Rebuilding the reference from the saved snapshot reproduces the int8
+// weights bit-for-bit (quantization is a pure function of the floats), but
+// NOT the static-mode activation calibration, which accrues across
+// evaluation forwards — so that state is carried explicitly.
+void ForEachQuantizer(ChainModel& model, const std::function<void(ActivationQuantizer&)>& fn) {
   std::function<void(Module*)> visit = [&](Module* m) {
     if (auto* ql = dynamic_cast<QuantLinear*>(m)) {
-      fn(ql);
+      fn(ql->quantizer());
     } else if (auto* qc = dynamic_cast<QuantConv2d*>(m)) {
-      fn(qc);
+      fn(qc->quantizer());
     }
     for (Module* child : m->Children()) {
       visit(child);
@@ -183,7 +182,8 @@ void EgeriaController::SaveState(std::ostream& os) {
     }
     // Static-quant calibration state of the live reference, in DFS order.
     std::vector<QuantCalibrationState> calib;
-    ForEachQuantModule(*reference_, [&](auto* q) { calib.push_back(q->calibration()); });
+    ForEachQuantizer(*reference_,
+                     [&](ActivationQuantizer& q) { calib.push_back(q.calibration()); });
     wire::Write(os, static_cast<uint32_t>(calib.size()));
     for (const QuantCalibrationState& c : calib) {
       wire::Write(os, c.max_abs);
@@ -297,9 +297,9 @@ bool EgeriaController::RestoreState(
     BuildReference(std::move(model));
     size_t idx = 0;
     bool calib_ok = true;
-    ForEachQuantModule(*reference_, [&](auto* q) {
+    ForEachQuantizer(*reference_, [&](ActivationQuantizer& q) {
       if (idx < calib.size()) {
-        q->RestoreCalibration(calib[idx]);
+        q.RestoreCalibration(calib[idx]);
       } else {
         calib_ok = false;
       }

@@ -202,13 +202,8 @@ std::optional<FreezeDecision> FreezingPolicy::OnLr(float lr, int64_t iter) {
   if (!any_frozen_) {
     return std::nullopt;
   }
-  bool fire = false;
-  if (lr_annealing_) {
-    fire = lr <= kUnfreezeLrFactor * lr_at_first_freeze_;
-  } else if (cyclical_hook_) {
-    fire = cyclical_hook_(lr, iter);
-  }
-  if (!fire) {
+  // Only an annealing schedule unfreezes.
+  if (!lr_annealing_ || lr > kUnfreezeLrFactor * lr_at_first_freeze_) {
     return std::nullopt;
   }
   // Unfreeze everything, halve the counter/history window, restart per-module state.

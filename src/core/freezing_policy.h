@@ -8,13 +8,12 @@
 // differently and thus should have per-layer thresholds", S4.2.2).
 //
 // Unfreezing: with an annealing LR schedule, a drop to <= 10% of the LR recorded at
-// the frontmost freeze unfreezes everything and halves W for refreezing. Cyclical
-// schedules delegate to a user hook.
+// the frontmost freeze unfreezes everything and halves W for refreezing. Other
+// schedules never unfreeze.
 #ifndef EGERIA_SRC_CORE_FREEZING_POLICY_H_
 #define EGERIA_SRC_CORE_FREEZING_POLICY_H_
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <vector>
@@ -43,10 +42,6 @@ class FreezingPolicy {
   // LR-based unfreeze check, callable every iteration (cheap). Returns kUnfreezeAll
   // when the annealing drop rule fires.
   std::optional<FreezeDecision> OnLr(float lr, int64_t iter);
-
-  // Custom unfreeze criterion for cyclical schedules (paper: user-customizable).
-  using CyclicalHook = std::function<bool(float lr, int64_t iter)>;
-  void SetCyclicalHook(CyclicalHook hook) { cyclical_hook_ = std::move(hook); }
 
   int frontier() const { return frontier_; }
   int window() const { return window_; }
@@ -88,7 +83,6 @@ class FreezingPolicy {
 
   bool any_frozen_ = false;
   float lr_at_first_freeze_ = 0.0F;
-  CyclicalHook cyclical_hook_;
 };
 
 }  // namespace egeria

@@ -1,9 +1,11 @@
 #include "src/core/gradient_sync.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
 #include "src/ckpt/state_dict.h"
+#include "src/distributed/transport/ring_schedule.h"
 #include "src/obs/metrics.h"
 #include "src/obs/phase.h"
 #include "src/util/logging.h"
@@ -45,31 +47,62 @@ TransportStatus GradientSync::Barrier() {
   return World() == 1 ? TransportStatus::Ok() : transport_->Barrier();
 }
 
-// Each rank contributes (error code, rank) for its local write; the reduction
-// keeps the failing entry of the LOWEST rank, so every rank agrees on one
-// culprit. A manifest must never commit over a torn peer file: the torn bytes
-// would checksum "valid" and poison every later resume of that step.
-TransportStatus GradientSync::ReduceFailingRank(bool local_ok, int* failing_rank) {
-  struct CkptStatusWire {
-    int32_t code = 0;   // TransportError as int32; 0 == ok
-    int32_t rank = -1;  // the rank reporting `code`
-  } acc;
-  if (!local_ok) {
-    acc.code = static_cast<int32_t>(TransportError::kIo);
-    acc.rank = Rank();
+TransportStatus GradientSync::CaptureState(ChainModel& model, Checkpoint* model_state) {
+  // Every rank's piece of the gather: its buffers in state-dict order, then
+  // its chunk of the sharded optimizer state. Each rank knows every piece's
+  // size, so the frames need no header.
+  const std::vector<StateEntry> buffers = CollectModelBuffers(model);
+  int64_t buffer_elems = 0;
+  for (const auto& [name, tensor] : buffers) {
+    buffer_elems += tensor->NumEl();
   }
-  for (int step = 0; step + 1 < World(); ++step) {
-    CkptStatusWire incoming;
-    TransportStatus st =
-        transport_->RingExchange(&acc, sizeof(acc), &incoming, sizeof(incoming));
+  const int64_t sharded_elems = ShardedStateElems();
+  std::vector<std::vector<float>> pieces(static_cast<size_t>(World()));
+  std::vector<float>& own = pieces[static_cast<size_t>(Rank())];
+  for (const auto& [name, tensor] : buffers) {
+    own.insert(own.end(), tensor->Data(), tensor->Data() + tensor->NumEl());
+  }
+  const std::vector<float> shard = ShardedState();
+  own.insert(own.end(), shard.begin(), shard.end());
+  if (World() > 1) {
+    // Checkpoint traffic, so no byte counter.
+    const TransportStatus st = RingCirculate(
+        *transport_, Rank(),
+        [&](int r) {
+          return Span{0, buffer_elems + ChunkSpan(sharded_elems, World(), r).size()};
+        },
+        [&](float* buf, int r, const Span& s) {
+          std::copy_n(pieces[static_cast<size_t>(r)].data(), s.size(), buf);
+        },
+        [&](const float* buf, int r, const Span& s) {
+          pieces[static_cast<size_t>(r)].assign(buf, buf + s.size());
+        },
+        nullptr);
     if (!st.ok()) {
       return st;
     }
-    if (incoming.code != 0 && (acc.code == 0 || incoming.rank < acc.rank)) {
-      acc = incoming;
-    }
   }
-  *failing_rank = acc.code == 0 ? -1 : acc.rank;
+  if (model_state == nullptr) {
+    return TransportStatus::Ok();
+  }
+  // Rank 0's buffers are the state dict's own entries.
+  *model_state = ExportModelState(model);
+  std::vector<float> sharded;
+  sharded.reserve(static_cast<size_t>(sharded_elems));
+  for (int r = 0; r < World(); ++r) {
+    const std::vector<float>& piece = pieces[static_cast<size_t>(r)];
+    const float* p = piece.data();
+    for (const auto& [name, tensor] : buffers) {
+      if (r > 0) {
+        Tensor copy = Tensor::Uninitialized(tensor->Shape());
+        std::copy_n(p, copy.NumEl(), copy.Data());
+        model_state->emplace(ReplicaBufferName(name, r), std::move(copy));
+      }
+      p += tensor->NumEl();
+    }
+    sharded.insert(sharded.end(), piece.begin() + buffer_elems, piece.end());
+  }
+  ExportState(model, sharded, *model_state);
   return TransportStatus::Ok();
 }
 
@@ -99,16 +132,14 @@ TransportStatus LocalSync::Step(const std::vector<Parameter*>& active, float lr,
   return TransportStatus::Ok();
 }
 
-std::function<bool(const std::string&)> LocalSync::CaptureState(
-    ChainModel& model, Checkpoint* model_state) {
-  if (model_state != nullptr) {
-    // Replicated: identical on every rank, so rank 0's copy is the state.
-    std::vector<Parameter*> params;
-    std::vector<std::string> names;
-    NamedParamLists(model, &params, &names);
-    optimizer_->ExportState(params, names, *model_state);
-  }
-  return nullptr;
+void LocalSync::ExportState(ChainModel& model, const std::vector<float>& sharded,
+                            Checkpoint& model_state) {
+  (void)sharded;
+  // Replicated: identical on every rank, so rank 0's copy is the state.
+  std::vector<Parameter*> params;
+  std::vector<std::string> names;
+  NamedParamLists(model, &params, &names);
+  optimizer_->ExportState(params, names, model_state);
 }
 
 bool LocalSync::RestoreState(ChainModel& model, const Checkpoint& model_state,

@@ -16,13 +16,13 @@
 //     reduce-scatter, the owner's step on its shard, ring all-gather; the
 //     shard map is repartitioned whenever the frontier moves.
 //
-// The control-plane collectives (Broadcast, Barrier, ReduceFailingRank) run
-// over the transport given at construction and are no-ops at world 1. Every
-// rank must call each collective at the same logical step.
+// The control-plane collectives (Broadcast, Barrier) and the checkpoint
+// capture's gather run over the transport given at construction and are
+// no-ops at world 1. Every rank must call each collective at the same
+// logical step.
 #ifndef EGERIA_SRC_CORE_GRADIENT_SYNC_H_
 #define EGERIA_SRC_CORE_GRADIENT_SYNC_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -52,11 +52,6 @@ class GradientSync {
   // exchange, the resume step).
   TransportStatus Broadcast(int64_t* value);
   TransportStatus Barrier();
-  // Typed all-ranks checkpoint status, reduced around the ring (W-1 steps):
-  // *failing_rank receives the lowest rank whose local write failed, or -1.
-  // Doubles as the rendezvous that guarantees every rank's files are written
-  // before rank 0 hashes them into the manifest.
-  TransportStatus ReduceFailingRank(bool local_ok, int* failing_rank);
 
   // ---- Optimizer layout ----
   // Collective. The frontier moved from `old_frontier` to `new_frontier`
@@ -74,24 +69,30 @@ class GradientSync {
   virtual int64_t StateBytes() const = 0;
 
   // ---- Checkpoint ----
-  // Captures this rank's optimizer state at a checkpoint boundary. A
-  // replicated optimizer adds its entries to `model_state` (non-null on rank
-  // 0 only; persisted as model.state). A sharded one returns a writer that
-  // persists this rank's RankStateFile into the step directory; it runs on
-  // the background checkpoint writer, so it owns a copy of the state.
-  virtual std::function<bool(const std::string& step_dir)> CaptureState(
-      ChainModel& model, Checkpoint* model_state) = 0;
-  // The per-rank file CaptureState writes for `rank` ("" = none).
-  virtual std::string RankStateFile(int rank) const {
-    (void)rank;
-    return {};
-  }
-  // Restores what CaptureState saved. `m` is the step's manifest: its world
-  // may differ from this one (elastic restart). False on a mismatch.
+  // Collective, at a checkpoint boundary. One ring all-gather brings every
+  // rank's model buffers and its chunk of the sharded optimizer state to rank
+  // 0, whose `model_state` (null on the other ranks) receives all of
+  // model.state: the weights, replica k's buffers (ReplicaBufferName) and the
+  // optimizer state as the replicated optimizer's "<param>#<field>" tensors.
+  // The gather is checkpoint traffic and counts in no sync byte total.
+  TransportStatus CaptureState(ChainModel& model, Checkpoint* model_state);
+  // Restores the optimizer state CaptureState saved into `model_state`. `m`
+  // is the step's manifest: its world may differ from this one (elastic
+  // restart). False on a mismatch.
   virtual bool RestoreState(ChainModel& model, const Checkpoint& model_state,
                             const CkptManifest& m) = 0;
 
  protected:
+  // A sharded optimizer's state is one flat vector of ShardedStateElems()
+  // floats, split into contract chunks, one per rank; ShardedState() is this
+  // rank's chunk. A replicated optimizer has none: rank 0 holds its state.
+  virtual int64_t ShardedStateElems() const { return 0; }
+  virtual std::vector<float> ShardedState() const { return {}; }
+  // Rank 0, at capture: adds the optimizer state to `model_state`. `sharded`
+  // is the whole ShardedStateElems() vector, gathered.
+  virtual void ExportState(ChainModel& model, const std::vector<float>& sharded,
+                           Checkpoint& model_state) = 0;
+
   Transport* transport_;
 };
 
@@ -108,10 +109,12 @@ class LocalSync : public GradientSync {
   TransportStatus Step(const std::vector<Parameter*>& active, float lr,
                        double* opt_seconds) override;
   int64_t StateBytes() const override { return optimizer_->StateBytes(); }
-  std::function<bool(const std::string& step_dir)> CaptureState(
-      ChainModel& model, Checkpoint* model_state) override;
   bool RestoreState(ChainModel& model, const Checkpoint& model_state,
                     const CkptManifest& m) override;
+
+ protected:
+  void ExportState(ChainModel& model, const std::vector<float>& sharded,
+                   Checkpoint& model_state) override;
 
  private:
   std::unique_ptr<Optimizer> optimizer_;

@@ -32,12 +32,6 @@ constexpr int64_t kFeatureStoreBudgetBytes = int64_t{256} << 20;
 constexpr uint32_t kTrainerStateMagic = 0x52544745;  // 'EGTR'
 constexpr uint32_t kTrainerStateVersion = 2;  // iter/frontier: the manifest's
 
-// Per-replica buffer section (BatchNorm running statistics): never
-// synchronized by training, so every rank persists its own.
-std::string BuffersFileName(int rank) {
-  return "buffers_r" + std::to_string(rank) + ".state";
-}
-
 bool WriteFile(const std::string& path, const std::string& bytes) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -89,7 +83,7 @@ Trainer::Trainer(ChainModel& model, const Dataset& train_data, const Dataset& va
                                                  kFeatureStoreBudgetBytes);
     }
   }
-  if (cfg_.ckpt.enabled() && cfg_.ckpt.async_save) {
+  if (cfg_.ckpt.enabled() && cfg_.ckpt.async_save && sync_->Rank() == 0) {
     ckpt_writer_ = std::make_unique<AsyncCheckpointWriter>();
   }
 }
@@ -236,60 +230,49 @@ void Trainer::UpdateBootstrap(double loss, int64_t iter) {
   bootstrap_prev_avg_ = avg;
 }
 
-void Trainer::CaptureCheckpoint(int64_t iter) {
+TransportStatus Trainer::CaptureCheckpoint(int64_t iter) {
   // Capture leg of capture->write->commit: the clone the background writer
   // serializes. Its span sits on the training track; the write span it hands
   // off shows up on the ckpt_writer track, overlapping the next iterations.
   obs::ScopedPhase capture_phase("ckpt", "capture",
                                  &obs::GetHistogram("ckpt.capture_s"));
-  const int rank = sync_->Rank();
+  // Clone the snapshot: the background writer must never read live state.
+  Checkpoint state;
+  const bool writer = sync_->Rank() == 0;
+  EGERIA_RETURN_IF_ERROR(sync_->CaptureState(model_, writer ? &state : nullptr));
+  ckpt_pending_ = true;
+  if (!writer) {
+    return TransportStatus::Ok();
+  }
   const std::string step_dir = CheckpointStepDir(cfg_.ckpt.dir, iter);
   bool ok = EnsureDir(step_dir);
-  // Clone the snapshot: the background writer must never read live state.
-  Checkpoint buffers = ExportModelBuffers(model_);
-  Checkpoint state;
-  std::string cursors;
+  std::ostringstream os(std::ios::binary);
+  wire::Write(os, kTrainerStateMagic);
+  wire::Write(os, kTrainerStateVersion);
+  wire::Write(os, static_cast<uint8_t>(knowledge_stage_ ? 1 : 0));
+  wire::Write(os, bootstrap_prev_avg_);
+  wire::Write(os, bootstrap_window_sum_);
+  wire::Write(os, bootstrap_window_count_);
+  wire::Write(os, result_.bootstrap_end_iter);
   std::string controller_bytes;
-  if (rank == 0) {
-    state = ExportModelState(model_);
-    std::ostringstream os(std::ios::binary);
-    wire::Write(os, kTrainerStateMagic);
-    wire::Write(os, kTrainerStateVersion);
-    wire::Write(os, static_cast<uint8_t>(knowledge_stage_ ? 1 : 0));
-    wire::Write(os, bootstrap_prev_avg_);
-    wire::Write(os, bootstrap_window_sum_);
-    wire::Write(os, bootstrap_window_count_);
-    wire::Write(os, result_.bootstrap_end_iter);
-    cursors = os.str();
-    if (controller_ != nullptr) {
-      std::ostringstream cs(std::ios::binary);
-      controller_->SaveState(cs);
-      ok = ok && static_cast<bool>(cs);
-      controller_bytes = cs.str();
-    }
-    ckpt_manifest_ = CkptManifest{};
-    ckpt_manifest_.iter = iter;
-    ckpt_manifest_.world = sync_->World();
-    ckpt_manifest_.frontier = frontier_;
-    ckpt_manifest_.dir = step_dir;
+  if (controller_ != nullptr) {
+    std::ostringstream cs(std::ios::binary);
+    controller_->SaveState(cs);
+    ok = ok && static_cast<bool>(cs);
+    controller_bytes = cs.str();
   }
-  auto write_sync_state = sync_->CaptureState(model_, rank == 0 ? &state : nullptr);
-  auto write = [rank, step_dir, buffers = std::move(buffers), state = std::move(state),
-                cursors = std::move(cursors), controller_bytes = std::move(controller_bytes),
-                has_controller = controller_ != nullptr,
-                write_sync_state = std::move(write_sync_state)]() -> bool {
-    bool wok = SaveCheckpoint(step_dir + "/" + BuffersFileName(rank), buffers);
-    if (write_sync_state) {
-      wok = wok && write_sync_state(step_dir);
-    }
-    if (rank == 0) {
-      wok = wok && SaveCheckpoint(step_dir + "/model.state", state) &&
-            WriteFile(step_dir + "/trainer.state", cursors);
-      if (has_controller) {
-        wok = wok && WriteFile(step_dir + "/controller.state", controller_bytes);
-      }
-    }
-    return wok;
+  ckpt_manifest_ = CkptManifest{};
+  ckpt_manifest_.iter = iter;
+  ckpt_manifest_.world = sync_->World();
+  ckpt_manifest_.frontier = frontier_;
+  ckpt_manifest_.dir = step_dir;
+  auto write = [step_dir, state = std::move(state), cursors = os.str(),
+                controller_bytes = std::move(controller_bytes),
+                has_controller = controller_ != nullptr]() -> bool {
+    return SaveCheckpoint(step_dir + "/model.state", state) &&
+           WriteFile(step_dir + "/trainer.state", cursors) &&
+           (!has_controller ||
+            WriteFile(step_dir + "/controller.state", controller_bytes));
   };
   ckpt_capture_ok_ = ok;
   if (ckpt_writer_ != nullptr) {
@@ -297,50 +280,35 @@ void Trainer::CaptureCheckpoint(int64_t iter) {
   } else {
     ckpt_capture_ok_ = ok && write();
   }
-  ckpt_pending_ = true;
+  return TransportStatus::Ok();
 }
 
 TransportStatus Trainer::CommitCheckpoint() {
   obs::ScopedPhase commit_phase("ckpt", "commit", &obs::GetHistogram("ckpt.commit_s"));
   ckpt_pending_ = false;
-  bool local_ok = ckpt_capture_ok_;
+  // Rank 0 commits only once every rank has reached this boundary: a world
+  // that loses a rank between capture and commit leaves the step invisible.
+  EGERIA_RETURN_IF_ERROR(sync_->Barrier());
+  if (sync_->Rank() != 0) {
+    return TransportStatus::Ok();
+  }
+  bool ok = ckpt_capture_ok_;
   if (ckpt_writer_ != nullptr) {
-    local_ok = ckpt_writer_->Wait() && local_ok;
+    ok = ckpt_writer_->Wait() && ok;
   }
-  int failing_rank = -1;
-  EGERIA_RETURN_IF_ERROR(sync_->ReduceFailingRank(local_ok, &failing_rank));
-  if (sync_->Rank() == 0) {
-    CkptManifest m = ckpt_manifest_;
-    if (failing_rank >= 0) {
-      EGERIA_LOG(kError) << "checkpoint at iter " << m.iter << ": rank " << failing_rank
-                         << " failed writing its files; step abandoned (training "
-                            "continues from the previous checkpoint)";
-    } else {
-      bool ok = AddManifestFile(m, "model.state") && AddManifestFile(m, "trainer.state");
-      if (ok && controller_ != nullptr) {
-        ok = AddManifestFile(m, "controller.state");
-      }
-      for (int r = 0; r < m.world && ok; ++r) {
-        ok = AddManifestFile(m, BuffersFileName(r));
-        const std::string rank_file = sync_->RankStateFile(r);
-        if (ok && !rank_file.empty()) {
-          ok = AddManifestFile(m, rank_file);
-        }
-      }
-      if (!ok || !CommitManifest(m)) {
-        EGERIA_LOG(kError) << "checkpoint at iter " << m.iter
-                           << " failed; training continues uncheckpointed";
-      } else {
-        ApplyRetention(cfg_.ckpt.dir, cfg_.ckpt.keep_last);
-        if (cfg_.verbose) {
-          EGERIA_LOG(kInfo) << "checkpointed iter " << m.iter << " -> " << m.dir;
-        }
-      }
-    }
+  CkptManifest m = ckpt_manifest_;
+  ok = ok && AddManifestFile(m, "model.state") && AddManifestFile(m, "trainer.state") &&
+       (controller_ == nullptr || AddManifestFile(m, "controller.state"));
+  if (!ok || !CommitManifest(m)) {
+    EGERIA_LOG(kError) << "checkpoint at iter " << m.iter
+                       << " failed; the step stays uncommitted and training continues";
+    return TransportStatus::Ok();
   }
-  // Every rank leaves knowing the step's fate before anyone can crash ahead,
-  // so "latest complete checkpoint" is well-defined for the whole world.
-  return sync_->Barrier();
+  ApplyRetention(cfg_.ckpt.dir, cfg_.ckpt.keep_last);
+  if (cfg_.verbose) {
+    EGERIA_LOG(kInfo) << "checkpointed iter " << m.iter << " -> " << m.dir;
+  }
+  return TransportStatus::Ok();
 }
 
 TransportStatus Trainer::TryResume(int64_t* resumed_iter) {
@@ -371,14 +339,10 @@ TransportStatus Trainer::TryResume(int64_t* resumed_iter) {
                        LoadModelState(state, model_),
                    step_dir + ": checkpoint does not match this model architecture");
   // Buffers (BatchNorm running stats) are per-replica: restore this rank's
-  // own section over the rank-0 copy model.state carries. An elastic restart
-  // maps new ranks onto saved replicas round-robin — buffers have no
-  // world-invariant owner.
-  Checkpoint buffers;
-  EGERIA_CHECK_MSG(
-      LoadCheckpoint(step_dir + "/" + BuffersFileName(sync_->Rank() % m->world), buffers) &&
-          LoadModelBuffers(buffers, model_),
-      step_dir + ": replica buffer restore failed");
+  // own over the rank-0 copy. An elastic restart maps new ranks onto saved
+  // replicas round-robin — buffers have no world-invariant owner.
+  EGERIA_CHECK_MSG(LoadModelBuffers(state, sync_->Rank() % m->world, model_),
+                   step_dir + ": replica buffer restore failed");
 
   std::ifstream is(step_dir + "/trainer.state", std::ios::binary);
   uint32_t magic = 0;
@@ -683,11 +647,11 @@ TransportStatus Trainer::TrainEpoch(int epoch, int64_t first_step, EpochStats* e
         cfg_.ckpt.enabled() && iter % cfg_.ckpt.interval_iters == 0;
     const bool stopping = cfg_.stop_after_iters >= 0 && iter >= cfg_.stop_after_iters;
     if (at_interval || (stopping && cfg_.ckpt.enabled())) {
-      CaptureCheckpoint(iter);
+      EGERIA_RETURN_IF_ERROR(CaptureCheckpoint(iter));
     }
     // An async save commits at the NEXT boundary; a stop (or async off)
     // commits inline — nobody is around next iteration to commit for us.
-    if (ckpt_pending_ && (stopping || ckpt_writer_ == nullptr)) {
+    if (ckpt_pending_ && (stopping || !cfg_.ckpt.async_save)) {
       EGERIA_RETURN_IF_ERROR(CommitCheckpoint());
     }
     if (stopping) {

@@ -66,11 +66,12 @@ struct TrainConfig {
   EgeriaConfig egeria;
 
   // Fault tolerance: when ckpt.enabled(), Run() snapshots the full training
-  // state (model + per-rank BN stats, optimizer state, freeze frontier,
+  // state (model + every replica's BN stats, optimizer state, freeze frontier,
   // controller/policy state, loop cursors) every interval_iters iterations and
   // — if the directory already holds a complete checkpoint — resumes from the
   // latest one instead of starting over. The saved world size need not match
-  // the resuming one (elastic restart: shards are re-folded). Bitwise-resume
+  // the resuming one (elastic restart: each rank slices its momentum shard out
+  // of the saved momentum). Bitwise-resume
   // contract: a run checkpointed at iteration k and resumed at the same world
   // size produces final weights bit-identical to the uninterrupted run. Timing
   // fields of TrainResult (TTA, per-epoch seconds) cover only the resumed
@@ -224,13 +225,12 @@ class Trainer {
   TransportStatus SyncFrontier(int64_t first_iter);
   void MaybeSubmitEval(const Batch& batch, float lr, int64_t iter);
   void UpdateBootstrap(double loss, int64_t iter);
-  // Checkpoint capture at the end of iteration `iter`: clones everything the
-  // step needs and hands the file writes to the background writer (or writes
-  // inline when async_save is off).
-  void CaptureCheckpoint(int64_t iter);
-  // Collective commit of the captured step: every rank waits for its writes,
-  // the per-rank status is reduced, and rank 0 commits the manifest only if
-  // every rank wrote cleanly.
+  // Collective checkpoint capture at the end of iteration `iter`: rank 0
+  // gathers and clones everything the step needs and hands the file writes
+  // to the background writer (or writes inline when async_save is off).
+  TransportStatus CaptureCheckpoint(int64_t iter);
+  // Collective commit of the captured step: once every rank has reached it,
+  // rank 0 waits for its writes and commits the manifest if they all landed.
   TransportStatus CommitCheckpoint();
   // Restores the latest complete checkpoint (rank 0 picks it for the world);
   // *resumed_iter is -1 when there is nothing to resume from.
@@ -272,12 +272,12 @@ class Trainer {
   double bootstrap_window_sum_ = 0.0;
   int64_t bootstrap_window_count_ = 0;
 
-  // Checkpoint capture -> commit state. The writer thread exists only when
-  // checkpointing is on with async_save.
+  // Checkpoint capture -> commit state. Rank 0 writes every step; its writer
+  // thread exists only when checkpointing is on with async_save.
   std::unique_ptr<AsyncCheckpointWriter> ckpt_writer_;
   bool ckpt_pending_ = false;    // a captured step awaits commit
-  bool ckpt_capture_ok_ = true;  // capture-phase local failures (mkdir etc.)
-  CkptManifest ckpt_manifest_;   // metadata fixed at capture time
+  bool ckpt_capture_ok_ = true;  // rank 0's capture-phase failures (mkdir etc.)
+  CkptManifest ckpt_manifest_;   // rank 0: metadata fixed at capture time
 
   TrainResult result_;
 };

@@ -6,7 +6,6 @@
 #include "src/distributed/reduction_contract.h"
 #include "src/distributed/transport/ring_schedule.h"
 #include "src/obs/trace.h"
-#include "src/util/timer.h"
 
 namespace egeria {
 
@@ -63,7 +62,6 @@ TransportStatus RingAllReducer::ReduceScatterAverage(
   if (world == 1) {
     return TransportStatus::Ok();
   }
-  WallTimer timer;
   trace::Span span("ring", "reduce_scatter");
   if (span.active()) {
     span.SetArgs("{\"elems\":%lld}", static_cast<long long>(total));
@@ -75,7 +73,7 @@ TransportStatus RingAllReducer::ReduceScatterAverage(
   // owner, rank c. For rank r that schedule is a circulation starting at chunk
   // r-1, whose final receive is r's own chunk r; the in-place fold in `consume`
   // is what the circulation forwards.
-  const TransportStatus st = RingCirculate(
+  return RingCirculate(
       transport_, rank - 1,
       [&](int c) { return ChunkSpan(total, world, c); },
       [&](float* buf, int, const Span& s) { view.CopyOut(s.begin, s.end, buf); },
@@ -94,12 +92,6 @@ TransportStatus RingAllReducer::ReduceScatterAverage(
         }
       },
       &wire_bytes_);
-  comm_seconds_ += timer.ElapsedSeconds();
-  if (!st.ok()) {
-    return st;
-  }
-  payload_bytes_ += total * static_cast<int64_t>(sizeof(float));
-  return st;
 }
 
 TransportStatus RingAllReducer::AllGather(FlatParamView& view) {
@@ -107,7 +99,6 @@ TransportStatus RingAllReducer::AllGather(FlatParamView& view) {
   if (world == 1) {
     return TransportStatus::Ok();
   }
-  WallTimer timer;
   trace::Span span("ring", "all_gather");
   const int64_t total = view.NumEl();
   if (span.active()) {
@@ -117,14 +108,12 @@ TransportStatus RingAllReducer::AllGather(FlatParamView& view) {
   // Rank r seeds the ring with its own chunk r; every step each rank forwards
   // the chunk it received last step, so after W-1 steps every rank has landed
   // every owner's (bit-exact, owner-computed-once) chunk.
-  const TransportStatus st = RingCirculate(
+  return RingCirculate(
       transport_, transport_.Rank(),
       [&](int c) { return ChunkSpan(total, world, c); },
       [&](float* buf, int, const Span& s) { view.CopyOut(s.begin, s.end, buf); },
       [&](const float* buf, int, const Span& s) { view.CopyIn(s.begin, s.end, buf); },
       &wire_bytes_);
-  comm_seconds_ += timer.ElapsedSeconds();
-  return st;
 }
 
 }  // namespace egeria

@@ -15,10 +15,9 @@
 //    sharded optimizer can run between them: reduce-scatter(grads) -> owner
 //    applies the optimizer update on its shard -> all-gather(params).
 //
-// The ring counts payload and wire bytes, so tests can assert that frozen
-// stages drop out of synchronization (the Fig. 10 traffic saving), and
-// measures wall seconds spent inside collectives, which turns the paper's
-// "frozen layers shrink network traffic" claim into a measured number.
+// The ring counts the bytes it pushes onto its link, so tests can assert
+// that frozen stages drop out of synchronization (the Fig. 10 traffic
+// saving). Its caller (RingSync) times the collectives.
 #ifndef EGERIA_SRC_DISTRIBUTED_ALLREDUCE_H_
 #define EGERIA_SRC_DISTRIBUTED_ALLREDUCE_H_
 
@@ -36,7 +35,7 @@ namespace egeria {
 TransportStatus StarAllReduce(Transport& transport, FlatParamView& grads);
 
 // One rank's endpoint of the ring collectives. Construct one per rank over
-// that rank's Transport; all counters are per-rank (sum across ranks for
+// that rank's Transport; its byte counter is per-rank (sum across ranks for
 // world totals).
 class RingAllReducer {
  public:
@@ -57,21 +56,14 @@ class RingAllReducer {
   // gradients) but must have the same flat size.
   TransportStatus AllGather(FlatParamView& view);
 
-  // Logical payload: flat bytes per reduce-scatter call.
-  int64_t TotalBytesReduced() const { return payload_bytes_; }
   // Bytes this rank pushed onto its ring link (both phases). Summed across the
   // world this is 2(W-1) x payload per full reduce-scatter + all-gather round,
   // i.e. 2(W-1)/W of the payload per link.
   int64_t TotalWireBytes() const { return wire_bytes_; }
-  // Wall seconds this rank spent inside ring collectives (includes peer skew:
-  // time blocked waiting for neighbors).
-  double CommSeconds() const { return comm_seconds_; }
 
  private:
   Transport& transport_;
-  int64_t payload_bytes_ = 0;
   int64_t wire_bytes_ = 0;
-  double comm_seconds_ = 0.0;
 };
 
 }  // namespace egeria

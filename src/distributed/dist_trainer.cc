@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <thread>
 #include <tuple>
 #include <sched.h>
 #include <unistd.h>
 
-#include "src/ckpt/wire.h"
+#include "src/ckpt/state_dict.h"
 #include "src/distributed/flat_view.h"
 #include "src/distributed/transport/tcp_transport.h"
 #include "src/obs/metrics.h"
@@ -38,40 +37,18 @@ uint64_t HashParams(const std::vector<Parameter*>& params) {
   return hash;
 }
 
-// ---- The shard file: one rank's ZeRO-1 momentum slice ----
-
-constexpr uint32_t kShardMagic = 0x44534745;  // 'EGSD'
-constexpr uint32_t kShardVersion = 1;
-
-bool WriteShardFile(const std::string& path, const ShardedSgd::ShardState& s) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) {
-    return false;
+// Calls fn(name, param, offset) for every parameter of the active suffix,
+// the last `active_elems` elements of the flat parameter space, with its
+// model.state name and its first element in active-space coordinates.
+template <class Fn>
+void ForEachActiveParam(ChainModel& model, int64_t active_elems, Fn&& fn) {
+  int64_t offset = active_elems - model.TotalParamCount();
+  for (const auto& [name, p] : NamedParams(model)) {
+    if (offset >= 0) {
+      fn(name, *p, offset);
+    }
+    offset += p->value.NumEl();
   }
-  wire::Write(os, kShardMagic);
-  wire::Write(os, kShardVersion);
-  wire::Write(os, s.frozen_elems);
-  wire::Write(os, s.active_elems);
-  wire::Write(os, s.global_begin);
-  wire::Write(os, s.global_end);
-  wire::WriteFloats(os, s.velocity);
-  return static_cast<bool>(os);
-}
-
-bool ReadShardFile(const std::string& path, ShardedSgd::ShardState& s) {
-  std::ifstream is(path, std::ios::binary);
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  if (!is || !wire::Read(is, magic) || magic != kShardMagic ||
-      !wire::Read(is, version) || version != kShardVersion ||
-      !wire::Read(is, s.frozen_elems) || !wire::Read(is, s.active_elems) ||
-      !wire::Read(is, s.global_begin) || !wire::Read(is, s.global_end) ||
-      !wire::ReadFloats(is, s.velocity) ||
-      s.global_end - s.global_begin != static_cast<int64_t>(s.velocity.size())) {
-    EGERIA_LOG(kError) << path << ": malformed optimizer shard";
-    return false;
-  }
-  return true;
 }
 
 // Moves the calling thread to the rank-th CPU it may use (modulo their count),
@@ -145,7 +122,7 @@ TransportStatus RingSync::Step(const std::vector<Parameter*>& active, float lr,
   FlatParamView values(active, FlatParamView::Field::kValue);
   std::pair<int64_t, int64_t> owned{0, 0};
   {
-    obs::ScopedPhase wait_phase("trainer", "comm_wait", &comm_wait_hist);
+    obs::ScopedPhase wait_phase("trainer", "comm_wait", &comm_wait_hist, &comm_seconds_);
     TransportStatus st = ring_.ReduceScatterAverage(grads, &owned);
     if (!st.ok()) {
       return st;
@@ -157,48 +134,52 @@ TransportStatus RingSync::Step(const std::vector<Parameter*>& active, float lr,
     shard_opt_.Step(values, grads, shard_begin_, shard_end_, lr);
   }
   bytes_synced_ += ParamBytes(active);
-  obs::ScopedPhase wait_phase("trainer", "comm_wait", &comm_wait_hist);
+  obs::ScopedPhase wait_phase("trainer", "comm_wait", &comm_wait_hist, &comm_seconds_);
   return ring_.AllGather(values);
 }
 
-std::function<bool(const std::string&)> RingSync::CaptureState(ChainModel& model,
-                                                                Checkpoint* model_state) {
-  (void)model;
-  (void)model_state;
-  return [path = RankStateFile(Rank()),
-          shard = shard_opt_.ExportShard()](const std::string& step_dir) {
-    return WriteShardFile(step_dir + "/" + path, shard);
-  };
-}
-
-std::string RingSync::RankStateFile(int rank) const {
-  return "shard_r" + std::to_string(rank) + ".state";
+void RingSync::ExportState(ChainModel& model, const std::vector<float>& sharded,
+                           Checkpoint& model_state) {
+  ForEachActiveParam(model, active_elems_,
+                     [&](const std::string& name, const Parameter& p, int64_t offset) {
+                       Tensor v = Tensor::Uninitialized(p.value.Shape());
+                       std::copy_n(sharded.data() + offset, v.NumEl(), v.Data());
+                       model_state.emplace(name + "#v", std::move(v));
+                     });
 }
 
 bool RingSync::RestoreState(ChainModel& model, const Checkpoint& model_state,
                             const CkptManifest& m) {
-  (void)model_state;
-  // Every velocity element's value is preserved; only ownership moves.
-  std::vector<ShardedSgd::ShardState> saved(static_cast<size_t>(m.world));
-  for (int r = 0; r < m.world; ++r) {
-    if (!ReadShardFile(m.dir + "/" + RankStateFile(r), saved[static_cast<size_t>(r)])) {
-      return false;
+  const int64_t active =
+      ParamBytes(model.ParamsFrom(m.frontier)) / static_cast<int64_t>(sizeof(float));
+  // A parameter without saved momentum restarts at zero, as under Sgd.
+  std::vector<float> velocity(static_cast<size_t>(active), 0.0F);
+  bool ok = true;
+  ForEachActiveParam(model, active, [&](const std::string& name, const Parameter& p,
+                                        int64_t offset) {
+    const auto it = model_state.find(name + "#v");
+    if (it == model_state.end()) {
+      return;
     }
-  }
-  // Every shard records the partition it was taken under.
-  const int64_t frozen = saved[0].frozen_elems;
-  const int64_t active = saved[0].active_elems;
-  if (frozen + active != model.TotalParamCount()) {
-    EGERIA_LOG(kError) << m.dir << ": optimizer shards belong to a different model";
+    if (it->second.NumEl() != p.value.NumEl()) {
+      EGERIA_LOG(kError) << m.dir << ": momentum " << name << " has " << it->second.NumEl()
+                         << " elements, parameter has " << p.value.NumEl();
+      ok = false;
+      return;
+    }
+    std::copy_n(it->second.Data(), p.value.NumEl(), velocity.data() + offset);
+  });
+  if (!ok) {
     return false;
   }
   std::tie(shard_begin_, shard_end_) =
-      shard_opt_.RestoreShard(Rank(), World(), frozen, active, saved);
+      shard_opt_.Restore(Rank(), World(), model.TotalParamCount() - active, velocity);
   RecordPartition(m.iter, m.frontier, active);
   return true;
 }
 
 void RingSync::RecordPartition(int64_t iter, int frontier, int64_t active_elems) {
+  active_elems_ = active_elems;
   if (Rank() != 0) {
     return;
   }

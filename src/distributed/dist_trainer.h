@@ -156,29 +156,38 @@ class RingSync : public GradientSync {
   TransportStatus Step(const std::vector<Parameter*>& active, float lr,
                        double* opt_seconds) override;
   int64_t StateBytes() const override { return shard_opt_.StateBytes(); }
-  std::function<bool(const std::string& step_dir)> CaptureState(
-      ChainModel& model, Checkpoint* model_state) override;
-  std::string RankStateFile(int rank) const override;
-  // Re-folds the saved shards through the contract partition at THIS world
-  // size (the saved world may differ: elastic restart).
+  // Slices this rank's contract chunk, at THIS world size, out of the saved
+  // momentum (the saved world may differ: elastic restart).
   bool RestoreState(ChainModel& model, const Checkpoint& model_state,
                     const CkptManifest& m) override;
 
   int64_t BytesSynced() const { return bytes_synced_; }
   int64_t WireBytes() const { return ring_.TotalWireBytes(); }
-  double CommSeconds() const { return ring_.CommSeconds(); }
+  // Wall seconds in ring collectives: the trainer/comm_wait phases' total.
+  double CommSeconds() const { return comm_seconds_; }
   // Rank 0's partition timeline, its last segment closed after `last_iter`.
   std::vector<DistReshardEvent> ReshardEvents(int64_t last_iter);
 
+ protected:
+  // The momentum of the active space, one contract chunk per rank.
+  int64_t ShardedStateElems() const override { return active_elems_; }
+  std::vector<float> ShardedState() const override { return shard_opt_.velocity(); }
+  // Saves the momentum as the replicated Sgd's "<param>#v" tensors.
+  void ExportState(ChainModel& model, const std::vector<float>& sharded,
+                   Checkpoint& model_state) override;
+
  private:
-  // Rank 0: opens a timeline segment at `iter`, closing the previous one.
+  // Opens a partition at `iter` (rank 0 also starts a timeline segment,
+  // closing the previous one).
   void RecordPartition(int64_t iter, int frontier, int64_t active_elems);
 
   RingAllReducer ring_;
   ShardedSgd shard_opt_;
+  int64_t active_elems_ = 0;
   int64_t shard_begin_ = 0;
   int64_t shard_end_ = 0;
   int64_t bytes_synced_ = 0;
+  double comm_seconds_ = 0.0;
   std::vector<DistReshardEvent> events_;
   double segment_comm_start_ = 0.0;  // CommSeconds() when the segment opened
 };

@@ -72,8 +72,8 @@ struct RecoverySpec {
   // SpawnOptions::common_args.
   std::string ckpt_dir;
   // Elastic restart: each restart drops one rank (floor 1), modeling a world
-  // that permanently lost a machine. The workers re-fold the saved optimizer
-  // shards through the reduction-contract partition at the new size.
+  // that permanently lost a machine. Each worker slices its
+  // reduction-contract chunk of the saved momentum at the new size.
   bool shrink_world_on_restart = false;
   // Sleep before the first relaunch; it doubles per attempt up to 30 s, so a
   // crash-looping world does not hammer the machine yet restarts promptly.

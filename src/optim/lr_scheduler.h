@@ -2,8 +2,8 @@
 //
 // These drive Egeria's unfreezing mechanism (paper S4.2.2): with annealing-style
 // schedules (step decay / exponential), Egeria unfreezes all layers once the LR has
-// dropped by 10x since the frontmost freeze; with cyclical schedules the user
-// supplies a custom criterion. The schedule kinds mirror the paper's evaluation:
+// dropped by 10x since the frontmost freeze; other schedules never unfreeze.
+// The schedule kinds mirror the paper's evaluation:
 // step decay (CV), inverse square root (Transformer), linear (BERT fine-tuning),
 // plus cosine annealing and cyclical for the unfreeze-policy tests.
 #ifndef EGERIA_SRC_OPTIM_LR_SCHEDULER_H_

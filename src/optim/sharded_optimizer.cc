@@ -96,39 +96,15 @@ int64_t ShardedSgd::StateBytes() const {
   return static_cast<int64_t>(velocity_.size()) * static_cast<int64_t>(sizeof(float));
 }
 
-ShardedSgd::ShardState ShardedSgd::ExportShard() const {
-  ShardState s;
-  s.frozen_elems = prev_frozen_;
-  s.active_elems = prev_active_;
-  s.global_begin = global_begin_;
-  s.global_end = global_end_;
-  s.velocity = velocity_;
-  return s;
-}
-
-std::pair<int64_t, int64_t> ShardedSgd::RestoreShard(
-    int rank, int world, int64_t frozen_elems, int64_t active_elems,
-    const std::vector<ShardState>& saved) {
-  EGERIA_CHECK(frozen_elems >= 0 && active_elems >= 0);
+std::pair<int64_t, int64_t> ShardedSgd::Restore(int rank, int world, int64_t frozen_elems,
+                                                const std::vector<float>& active_velocity) {
+  EGERIA_CHECK(frozen_elems >= 0);
+  const auto active_elems = static_cast<int64_t>(active_velocity.size());
   const Span active_span = ChunkSpan(active_elems, world, rank);
-  const int64_t gb = frozen_elems + active_span.begin;
-  const int64_t ge = frozen_elems + active_span.end;
-  std::vector<float> next(static_cast<size_t>(ge - gb), 0.0F);
-  for (const ShardState& s : saved) {
-    EGERIA_CHECK_MSG(s.frozen_elems == frozen_elems && s.active_elems == active_elems,
-                     "saved shard belongs to a different partition");
-    EGERIA_CHECK(s.global_end - s.global_begin ==
-                 static_cast<int64_t>(s.velocity.size()));
-    const int64_t lo = std::max(gb, s.global_begin);
-    const int64_t hi = std::min(ge, s.global_end);
-    if (hi > lo) {
-      std::memcpy(next.data() + (lo - gb), s.velocity.data() + (lo - s.global_begin),
-                  static_cast<size_t>(hi - lo) * sizeof(float));
-    }
-  }
-  velocity_ = std::move(next);
-  global_begin_ = gb;
-  global_end_ = ge;
+  velocity_.assign(active_velocity.begin() + active_span.begin,
+                   active_velocity.begin() + active_span.end);
+  global_begin_ = frozen_elems + active_span.begin;
+  global_end_ = frozen_elems + active_span.end;
   frozen_elems_ = frozen_elems;
   prev_frozen_ = frozen_elems;
   prev_active_ = active_elems;

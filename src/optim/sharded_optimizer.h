@@ -58,32 +58,19 @@ class ShardedSgd {
   int64_t StateBytes() const;
 
   // ---- Checkpoint support ----
-  // One rank's shard as persisted by a checkpoint: the (frozen, active)
-  // partition it was taken under plus the velocity slice in GLOBAL flat
-  // coordinates.
-  struct ShardState {
-    int64_t frozen_elems = 0;
-    int64_t active_elems = 0;
-    int64_t global_begin = 0;
-    int64_t global_end = 0;
-    std::vector<float> velocity;
-  };
-  ShardState ExportShard() const;
+  // This rank's velocity shard: its contract chunk of the active space.
+  const std::vector<float>& velocity() const { return velocity_; }
 
   // Local (transport-free) restore: seeds this rank's shard for `rank` of
-  // `world` over the saved (frozen_elems, active_elems) partition by
-  // re-folding the saved shards through the reduction-contract partition —
-  // the new span is computed locally and every overlapping slice of `saved`
-  // is copied in. `saved` may come from a run with a DIFFERENT world size
-  // (elastic restart); every velocity element's value is preserved because
-  // ownership, not content, is what the partition changes. Elements covered
-  // by no saved shard start at zero. Also primes the previous-partition pair
-  // so the next freeze-driven Reshard migrates exactly as an uninterrupted
-  // run would. Returns the shard bounds in ACTIVE-space coordinates, like
-  // Reshard.
-  std::pair<int64_t, int64_t> RestoreShard(int rank, int world, int64_t frozen_elems,
-                                           int64_t active_elems,
-                                           const std::vector<ShardState>& saved);
+  // `world` over the partition (frozen_elems, active_velocity.size()) with
+  // its contract chunk of `active_velocity`, the whole active space's
+  // momentum as a checkpoint saved it. The saving world may have had another
+  // size (elastic restart): the chunk is a slice of the one saved vector.
+  // Also primes the previous-partition pair so the next freeze-driven
+  // Reshard migrates exactly as an uninterrupted run would. Returns the shard
+  // bounds in ACTIVE-space coordinates, like Reshard.
+  std::pair<int64_t, int64_t> Restore(int rank, int world, int64_t frozen_elems,
+                                      const std::vector<float>& active_velocity);
 
  private:
   float momentum_;

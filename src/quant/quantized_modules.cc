@@ -7,19 +7,7 @@
 
 namespace egeria {
 
-QuantLinear::QuantLinear(const Linear& src, QuantMode mode)
-    : Module(src.name() + ".int8"),
-      in_features_(src.in_features()),
-      out_features_(src.out_features()),
-      weights_(QuantizeWeightsPerChannel(src.weight().value)),
-      mode_(mode) {
-  if (src.has_bias()) {
-    bias_ = src.bias().value.Clone();
-  }
-  training_ = false;
-}
-
-float QuantLinear::InputScale(const float* x, int64_t n) {
+float ActivationQuantizer::Scale(const float* x, int64_t n) {
   if (mode_ == QuantMode::kDynamic) {
     return ActivationScale(x, n);
   }
@@ -30,11 +18,23 @@ float QuantLinear::InputScale(const float* x, int64_t n) {
   return observer_.Scale();
 }
 
+QuantLinear::QuantLinear(const Linear& src, QuantMode mode)
+    : Module(src.name() + ".int8"),
+      in_features_(src.in_features()),
+      out_features_(src.out_features()),
+      weights_(QuantizeWeightsPerChannel(src.weight().value)),
+      quantizer_(mode) {
+  if (src.has_bias()) {
+    bias_ = src.bias().value.Clone();
+  }
+  training_ = false;
+}
+
 Tensor QuantLinear::Forward(const Tensor& input) {
   EGERIA_CHECK(input.Size(-1) == in_features_);
   const int64_t rows = input.NumEl() / in_features_;
   std::vector<int8_t> xq(static_cast<size_t>(rows * in_features_));
-  const float scale = InputScale(input.Data(), input.NumEl());
+  const float scale = quantizer_.Scale(input.Data(), input.NumEl());
   QuantizeActivations(input.Data(), xq.data(), input.NumEl(), scale);
   std::vector<int64_t> out_shape = input.Shape();
   out_shape.back() = out_features_;
@@ -60,22 +60,11 @@ QuantConv2d::QuantConv2d(const Conv2d& src, QuantMode mode)
       out_channels_(src.out_channels()),
       geom_(src.geom()),
       weights_(QuantizeWeightsPerChannel(src.weight().value)),
-      mode_(mode) {
+      quantizer_(mode) {
   if (src.has_bias()) {
     bias_ = src.bias().value.Clone();
   }
   training_ = false;
-}
-
-float QuantConv2d::InputScale(const float* x, int64_t n) {
-  if (mode_ == QuantMode::kDynamic) {
-    return ActivationScale(x, n);
-  }
-  if (calibration_left_ > 0) {
-    observer_.Observe(x, n);
-    --calibration_left_;
-  }
-  return observer_.Scale();
 }
 
 Tensor QuantConv2d::Forward(const Tensor& input) {
@@ -91,7 +80,7 @@ Tensor QuantConv2d::Forward(const Tensor& input) {
   // Quantize the *input image* once, then gather bytes: quantization commutes
   // with im2col's rearrangement (zero padding maps to code 0 exactly), and the
   // gather moves 1-byte elements instead of expanding kh*kw-fold in float.
-  const float scale = InputScale(input.Data(), input.NumEl());
+  const float scale = quantizer_.Scale(input.Data(), input.NumEl());
   std::vector<int8_t> xq(static_cast<size_t>(input.NumEl()));
   QuantizeActivations(input.Data(), xq.data(), input.NumEl(), scale);
   // Every output element is written by the int8 kernel — skip the zero-fill.

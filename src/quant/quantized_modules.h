@@ -34,13 +34,15 @@ struct QuantCalibrationState {
   int calibration_left = kStaticCalibrationBatches;
 };
 
-class QuantLinear : public Module {
+// The activation quantizer of QuantLinear and QuantConv2d: picks the int8
+// scale of each forward's input per the mode.
+class ActivationQuantizer {
  public:
-  QuantLinear(const Linear& src, QuantMode mode);
+  explicit ActivationQuantizer(QuantMode mode) : mode_(mode) {}
 
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;  // CHECK-fails: inference only
-  std::unique_ptr<Module> CloneForInference(const InferenceFactory& factory) const override;
+  // The scale for input x[0, n); in static mode the first
+  // kStaticCalibrationBatches calls also widen the observed range.
+  float Scale(const float* x, int64_t n);
 
   QuantCalibrationState calibration() const {
     return {observer_.MaxAbs(), observer_.Calibrated(), calibration_left_};
@@ -51,15 +53,27 @@ class QuantLinear : public Module {
   }
 
  private:
-  float InputScale(const float* x, int64_t n);
+  QuantMode mode_;
+  MinMaxObserver observer_;
+  int calibration_left_ = kStaticCalibrationBatches;
+};
 
+class QuantLinear : public Module {
+ public:
+  QuantLinear(const Linear& src, QuantMode mode);
+
+  Tensor Forward(const Tensor& input) override;
+  Tensor Backward(const Tensor& grad_output) override;  // CHECK-fails: inference only
+  std::unique_ptr<Module> CloneForInference(const InferenceFactory& factory) const override;
+
+  ActivationQuantizer& quantizer() { return quantizer_; }
+
+ private:
   int64_t in_features_;
   int64_t out_features_;
   QuantizedWeights weights_;
   Tensor bias_;  // float, undefined if absent
-  QuantMode mode_;
-  MinMaxObserver observer_;
-  int calibration_left_ = kStaticCalibrationBatches;
+  ActivationQuantizer quantizer_;
 };
 
 class QuantConv2d : public Module {
@@ -70,25 +84,15 @@ class QuantConv2d : public Module {
   Tensor Backward(const Tensor& grad_output) override;
   std::unique_ptr<Module> CloneForInference(const InferenceFactory& factory) const override;
 
-  QuantCalibrationState calibration() const {
-    return {observer_.MaxAbs(), observer_.Calibrated(), calibration_left_};
-  }
-  void RestoreCalibration(const QuantCalibrationState& s) {
-    observer_.Restore(s.max_abs, s.observed);
-    calibration_left_ = s.calibration_left;
-  }
+  ActivationQuantizer& quantizer() { return quantizer_; }
 
  private:
-  float InputScale(const float* x, int64_t n);
-
   int64_t in_channels_;
   int64_t out_channels_;
   ConvGeom geom_;
   QuantizedWeights weights_;  // [out_c, in_c*kh*kw]
   Tensor bias_;
-  QuantMode mode_;
-  MinMaxObserver observer_;
-  int calibration_left_ = kStaticCalibrationBatches;
+  ActivationQuantizer quantizer_;
 };
 
 // fp16 storage emulation via _Float16: halves weight memory traffic; compute in f32.

@@ -2,12 +2,14 @@
 // end-to-end decision flow through its thread.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 #include "src/core/activation_cache.h"
 #include "src/core/controller.h"
 #include "src/core/module_partitioner.h"
 #include "src/models/resnet.h"
+#include "src/quant/quantized_modules.h"
 #include "src/util/rng.h"
 
 namespace egeria {
@@ -229,6 +231,57 @@ TEST_F(ControllerTest, SaveStateCapturesTheEvaluationsInFlight) {
   for (size_t i = 0; i < saved.size(); ++i) {
     EXPECT_EQ(loaded[i].iter, saved[i].iter);
     EXPECT_EQ(loaded[i].raw, saved[i].raw);
+  }
+}
+
+TEST_F(ControllerTest, RestoreMidCalibrationContinuesWithTheSameScales) {
+  // Static int8 calibrates each quantized module over its first
+  // kStaticCalibrationBatches evaluation forwards. Saved after one
+  // evaluation, the reference has one calibration batch left: the restored
+  // copy must observe it on top of the same range, or its scales, and every
+  // reading after them, drift off the original's.
+  auto model = MakeModel();
+  const EgeriaConfig cfg = Config();
+  ASSERT_EQ(cfg.reference_precision, Precision::kInt8);
+  ASSERT_EQ(cfg.quant_mode, QuantMode::kStatic);
+  ASSERT_EQ(kStaticCalibrationBatches, 2);
+  EgeriaController controller(cfg, model->NumStages(), true);
+  InferenceFactory float_factory;
+  controller.SubmitSnapshot(model->CloneForInference(float_factory));
+  model->SetTraining(false);
+  auto evaluate = [&](EgeriaController& c, const Tensor& input, int64_t iter) {
+    model->ForwardFrom(0, input);
+    EvalRequest req;
+    req.batch.input = input;
+    req.train_act = model->StageOutput(0);
+    req.stage = 0;
+    req.lr = 0.1F;
+    req.iter = iter;
+    c.SubmitEval(std::move(req));
+  };
+  Rng rng(15);
+  evaluate(controller, Tensor::Randn({4, 3, 8, 8}, rng), 1);
+  std::stringstream blob;
+  controller.SaveState(blob);
+  EgeriaController restored(cfg, model->NumStages(), true);
+  ASSERT_TRUE(restored.RestoreState(
+      blob, [&] { return model->CloneForInference(float_factory); }));
+
+  // Smaller inputs from here on: the first batch's range stays the widest,
+  // so a copy that lost it would calibrate to a narrower one.
+  for (int64_t iter = 2; iter <= 4; ++iter) {
+    const Tensor input = Tensor::Randn({4, 3, 8, 8}, rng, 0.25F);
+    evaluate(controller, input, iter);
+    evaluate(restored, input, iter);
+  }
+  const std::vector<PlasticityRecord> original = controller.PlasticityHistory();
+  const std::vector<PlasticityRecord> resumed = restored.PlasticityHistory();
+  ASSERT_EQ(original.size(), 4U);
+  ASSERT_EQ(resumed.size(), original.size());
+  for (size_t i = 0; i < original.size(); ++i) {
+    EXPECT_EQ(resumed[i].iter, original[i].iter);
+    EXPECT_EQ(0, std::memcmp(&resumed[i].raw, &original[i].raw, sizeof(double)))
+        << "reading " << i << ": " << resumed[i].raw << " vs " << original[i].raw;
   }
 }
 

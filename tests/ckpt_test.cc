@@ -1,7 +1,7 @@
 // Checkpoint/restore subsystem: hardened serialization (versioned formats,
 // per-tensor checksums, corruption rejection), state-dict round trips over
 // every model in src/models/, the manifest commit/retention protocol,
-// optimizer-state round trips (incl. the elastic shard re-fold),
+// optimizer-state round trips (incl. the elastic momentum slice),
 // freezing-policy state round trips, and the Trainer-level bitwise-resume
 // contract.
 #include <gtest/gtest.h>
@@ -484,44 +484,40 @@ TEST(OptimizerState, SgdAndAdamRoundTripBitwise) {
 }
 
 TEST(OptimizerState, ElasticShardRefoldPreservesEveryElement) {
-  // Fabricate a world-4 partition over a non-divisible active space, then
-  // re-fold to world 3 and world 5: every element of the flat velocity vector
-  // must land, bit-identical, in exactly the rank that owns it under the new
-  // reduction-contract partition.
+  // A checkpoint saves the momentum of the whole active space as one vector
+  // (rank 0 gathers every rank's contract chunk), and each resuming rank
+  // slices its own chunk out of it at the new world size. Over a
+  // non-divisible active space, the chunks of a world-4 run must put the
+  // vector back together, and at worlds 3, 5, 4 and 1 every element must
+  // land, bit-identical, in exactly the rank that owns it.
   const int64_t frozen = 11;
   const int64_t active = 103;
-  const int old_world = 4;
   std::vector<float> flat(static_cast<size_t>(active));
   for (size_t i = 0; i < flat.size(); ++i) {
     flat[i] = static_cast<float>(i) * 1.25F + 0.5F;
   }
-  std::vector<ShardedSgd::ShardState> saved;
-  for (int r = 0; r < old_world; ++r) {
-    const Span s = ChunkSpan(active, old_world, r);
-    ShardedSgd::ShardState st;
-    st.frozen_elems = frozen;
-    st.active_elems = active;
-    st.global_begin = frozen + s.begin;
-    st.global_end = frozen + s.end;
-    st.velocity.assign(flat.begin() + s.begin, flat.begin() + s.end);
-    saved.push_back(std::move(st));
+  std::vector<float> gathered;
+  for (int rank = 0; rank < 4; ++rank) {
+    ShardedSgd opt(0.9F, 0.0F);
+    opt.Restore(rank, 4, frozen, flat);
+    gathered.insert(gathered.end(), opt.velocity().begin(), opt.velocity().end());
   }
+  ASSERT_EQ(gathered, flat);
 
   for (const int new_world : {3, 5, 4, 1}) {
     SCOPED_TRACE("new_world=" + std::to_string(new_world));
     for (int rank = 0; rank < new_world; ++rank) {
       ShardedSgd opt(0.9F, 0.0F);
-      const auto [begin, end] =
-          opt.RestoreShard(rank, new_world, frozen, active, saved);
+      const auto [begin, end] = opt.Restore(rank, new_world, frozen, gathered);
       const Span expect = ChunkSpan(active, new_world, rank);
       EXPECT_EQ(begin, expect.begin);
       EXPECT_EQ(end, expect.end);
-      const auto exported = opt.ExportShard();
-      ASSERT_EQ(static_cast<int64_t>(exported.velocity.size()), end - begin);
+      EXPECT_EQ(opt.StateBytes(), (end - begin) * static_cast<int64_t>(sizeof(float)));
+      const std::vector<float>& velocity = opt.velocity();
+      ASSERT_EQ(static_cast<int64_t>(velocity.size()), end - begin);
       for (int64_t i = begin; i < end; ++i) {
-        ASSERT_EQ(exported.velocity[static_cast<size_t>(i - begin)],
-                  flat[static_cast<size_t>(i)])
-            << "element " << i << " corrupted by the re-fold";
+        ASSERT_EQ(velocity[static_cast<size_t>(i - begin)], flat[static_cast<size_t>(i)])
+            << "element " << i << " corrupted by the slice";
       }
     }
   }

@@ -193,7 +193,7 @@ TEST(DistributedChaos, SeededFaultMatrixConvergesBitwiseWithNoTornCheckpoints) {
 
 // Elastic self-healing: shrink_world_on_restart relaunches a crashed world-3
 // run at world 2 (one machine "permanently lost"), resuming from the world-3
-// checkpoint via shard re-folding, and reports the shrunken final_world. The
+// checkpoint by slicing the saved momentum, and reports the shrunken final_world. The
 // result must match the in-process world-2 resume of the same checkpoint.
 TEST(DistributedChaos, ShrinkOnRestartResumesAtSmallerWorldBitwise) {
   const int world = 3;
@@ -207,7 +207,7 @@ TEST(DistributedChaos, ShrinkOnRestartResumesAtSmallerWorldBitwise) {
                          "--ckpt-dir=" + ckpt_dir, "--ckpt-interval=4",
                          "--hb-interval=1", "--io-timeout=20"};
   // Rank 1 crashes at iteration 6: past the iteration-4 checkpoint, so the
-  // shrunken restart resumes (not recomputes) with re-folded shards.
+  // shrunken restart resumes (not recomputes) with re-sliced shards.
   options.per_rank_args = {{}, {"--fault=exit:6"}, {}};
   options.timeout_s = 60.0;
   RecoverySpec recovery;
@@ -257,7 +257,7 @@ TEST(DistributedChaos, ShrinkOnRestartResumesAtSmallerWorldBitwise) {
 
 // Async-save crash window: with background checkpoint writes, the capture at
 // iteration N commits at the START of iteration N+1 (after the all-ranks
-// status reduction). A rank killed exactly at N+1 dies BETWEEN capture and
+// barrier). A rank killed exactly at N+1 dies BETWEEN capture and
 // commit — the step directory exists but holds no MANIFEST, so the restart
 // must treat the run as checkpoint-less (resume from scratch), never consume
 // the half-committed step, and still converge bitwise to the reference.
@@ -273,7 +273,7 @@ TEST(DistributedChaos, CrashBetweenAsyncCaptureAndCommitLeavesStepInvisible) {
                          "--async-ckpt=1", "--hb-interval=1", "--io-timeout=20"};
   // Iteration 3 captures the first snapshot (async, commit deferred); the
   // exit at iteration 4 fires in the iteration hook, BEFORE the deferred
-  // commit's status reduction — the exact capture/commit race.
+  // commit's barrier — the exact capture/commit race.
   options.per_rank_args = {{}, {"--fault=exit:4"}};
   options.timeout_s = 60.0;
   RecoverySpec recovery;

@@ -217,9 +217,9 @@ TEST(DistributedProcess, CrashedWorldAutoRestartsAndMatchesReferenceBitwise) {
 }
 
 // Elastic restart: a checkpoint written by a world-4 TCP-process run resumed
-// by a world-3 process run (momentum shards re-folded through the
-// reduction-contract partition) must match, bitwise, the in-process world-3
-// resume of the same checkpoint.
+// by a world-3 process run (each rank slicing its reduction-contract chunk
+// of the saved momentum) must match, bitwise, the in-process world-3 resume
+// of the same checkpoint.
 TEST(DistributedProcess, ElasticRestartWorld4To3MatchesInProcessReference) {
   const std::string log_dir = MakeLogDir("elastic");
   const std::string dir_proc = log_dir + "/ckpt_proc";

@@ -13,9 +13,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 
 #include "src/baselines/freeze_baselines.h"
 #include "src/ckpt/checkpoint.h"
@@ -206,7 +208,6 @@ std::vector<Parameter*> Suffix(const ParamSet& set, size_t first) {
 
 // Per-round bitwise comparison state for one ring run.
 struct RingRunStats {
-  int64_t payload_rank0 = 0;
   int64_t wire_sum = 0;
 };
 
@@ -230,9 +231,6 @@ RingRunStats ReduceBothAndExpectBitwiseEqual(int world,
     ASSERT_TRUE(ring.AllGather(view).ok());
     std::lock_guard<std::mutex> lock(stats_mutex);
     stats.wire_sum += ring.TotalWireBytes();
-    if (rank == 0) {
-      stats.payload_rank0 = ring.TotalBytesReduced();
-    }
   });
   for (int r = 0; r < world; ++r) {
     for (size_t p = first; p < ref[0].size(); ++p) {
@@ -261,7 +259,6 @@ TEST(RingAllReduce, BitwiseMatchesSequentialReference) {
     }
     const RingRunStats stats = ReduceBothAndExpectBitwiseEqual(world, ref, ring_set, 0);
     const int64_t total = 29;
-    EXPECT_EQ(stats.payload_rank0, total * static_cast<int64_t>(sizeof(float)));
     // Ring wire traffic is exactly 2(W-1)/W of the payload per link; summed
     // over the W links that is 2(W-1) x payload for reduce-scatter+all-gather.
     EXPECT_EQ(stats.wire_sum,
@@ -683,9 +680,9 @@ TEST(DistResume, SameWorldResumeBitwiseMatchesUninterrupted) {
   std::filesystem::remove_all(dir);
 }
 
-// Elastic restart: a world-4 checkpoint resumed at world 3. The saved momentum
-// shards are re-folded through the reduction-contract partition, and the
-// resumed world's replicas stay bit-identical.
+// Elastic restart: a world-4 checkpoint resumed at world 3. Each rank slices
+// its reduction-contract chunk out of the saved momentum, and the resumed
+// world's replicas stay bit-identical.
 // (DistributedProcess.ElasticRestartWorld4To3MatchesInProcessReference pins
 // the resumed weights of a world of OS processes to this harness's.)
 TEST(DistResume, ElasticResumeWorld4To3KeepsReplicasConsistent) {
@@ -773,6 +770,129 @@ TEST(AsyncCheckpoint, BackgroundSavePersistsBitwiseIdenticalState) {
         << "async-saved checkpoint resumed to different weights";
     std::filesystem::remove_all(dir_async);
     std::filesystem::remove_all(dir_sync);
+  }
+}
+
+// Rank 0 writes every step, so a step is the same four files at every world
+// size and for either sync, and the two syncs save the same bytes: the
+// ring's momentum shards, gathered, are the replicated Sgd's own tensors.
+TEST(CheckpointLayout, EveryStepIsRankZerosFilesAndStarMatchesRing) {
+  using Reducer = DistTrainConfig::Reducer;
+  auto files_of = [](const std::string& step_dir) {
+    std::set<std::string> names;
+    for (const auto& e : std::filesystem::directory_iterator(step_dir)) {
+      names.insert(e.path().filename().string());
+    }
+    return names;
+  };
+  auto run = [&](int world, Reducer reducer, bool egeria) {
+    const std::string dir = MakeCkptDir("layout");
+    DistWorkload w = MakeDistWorkload("tiny");
+    w.cfg.world = world;
+    w.cfg.reducer = reducer;
+    w.cfg.enable_egeria = egeria;
+    w.cfg.ckpt.dir = dir;
+    w.cfg.ckpt.interval_iters = 8;
+    w.cfg.stop_after_iters = 56;
+    const DistTrainResult r = TrainDataParallel(w.make_model, *w.train, *w.val, w.cfg);
+    EXPECT_TRUE(r.stopped_early);
+    std::set<std::string> expect = {"MANIFEST", "model.state", "trainer.state"};
+    if (egeria) {
+      expect.insert("controller.state");
+    }
+    int committed = 0;
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
+      const auto m = ReadManifest(e.path().string());
+      if (!m.has_value()) {
+        continue;
+      }
+      ++committed;
+      EXPECT_EQ(files_of(m->dir), expect) << m->dir;
+      std::set<std::string> listed = {"MANIFEST"};
+      for (const ManifestFile& f : m->files) {
+        listed.insert(f.name);
+      }
+      EXPECT_EQ(listed, expect) << m->dir;
+    }
+    EXPECT_EQ(committed, 2);  // keep_last
+    const auto latest = FindLatestCheckpoint(dir);
+    std::filesystem::remove_all(dir);
+    return latest;
+  };
+  for (int world : {1, 2, 3}) {
+    SCOPED_TRACE("world " + std::to_string(world));
+    const auto ring = run(world, Reducer::kRingSharded, true);
+    const auto star = run(world, Reducer::kSequentialReference, true);
+    ASSERT_TRUE(ring.has_value());
+    ASSERT_TRUE(star.has_value());
+    EXPECT_EQ(ring->iter, 56);
+    EXPECT_EQ(star->iter, 56);
+    EXPECT_EQ(ring->world, world);
+    if (world > 1) {
+      ASSERT_GT(ring->frontier, 0) << "no freeze before the step; the pin is hollow";
+    }
+    EXPECT_EQ(star->frontier, ring->frontier);
+    auto model_state = [](const CkptManifest& m) {
+      for (const ManifestFile& f : m.files) {
+        if (f.name == "model.state") {
+          return f;
+        }
+      }
+      return ManifestFile{};
+    };
+    EXPECT_EQ(model_state(*star).bytes, model_state(*ring).bytes);
+    EXPECT_EQ(model_state(*star).fnv, model_state(*ring).fnv)
+        << "the ring and the star saved different model.state bytes";
+  }
+  run(2, Reducer::kRingSharded, false);
+}
+
+// A step rank 0 cannot write (a regular file sits where its directory goes)
+// is never committed: training goes on unchanged, and a resume takes the
+// latest complete step.
+TEST(CheckpointLayout, UnwritableStepIsNeverCommittedAndTheRunGoesOn) {
+  for (int world : {1, 2}) {
+    SCOPED_TRACE("world " + std::to_string(world));
+    auto train = [&](const std::string& dir, int64_t stop_after) {
+      DistWorkload w = MakeDistWorkload("tiny");
+      w.cfg.world = world;
+      w.cfg.epochs = 4;
+      w.cfg.enable_egeria = true;
+      w.cfg.ckpt.dir = dir;
+      w.cfg.ckpt.interval_iters = 4;
+      w.cfg.stop_after_iters = stop_after;
+      return TrainDataParallel(w.make_model, *w.train, *w.val, w.cfg);
+    };
+    auto block_step_8 = [](const std::string& dir) {
+      const std::string step = CheckpointStepDir(dir, 8);
+      std::ofstream(step) << "not a directory";
+      return step;
+    };
+    const DistTrainResult ref = train("", -1);
+    ASSERT_TRUE(ref.replicas_consistent);
+
+    const std::string dir = MakeCkptDir("unwritable");
+    const std::string blocked = block_step_8(dir);
+    const DistTrainResult full = train(dir, -1);
+    EXPECT_EQ(full.resumed_from_iter, -1);
+    EXPECT_TRUE(full.replicas_consistent);
+    EXPECT_EQ(full.params_hash, ref.params_hash) << "a failed write changed training";
+    EXPECT_TRUE(std::filesystem::is_regular_file(blocked)) << "step 8 was written";
+
+    // Stopped at the blocked step, the run leaves step 4 the latest complete
+    // one, and the resume from it finishes bitwise.
+    const std::string stop_dir = MakeCkptDir("unwritable-stop");
+    block_step_8(stop_dir);
+    ASSERT_TRUE(train(stop_dir, 8).stopped_early);
+    const auto latest = FindLatestCheckpoint(stop_dir);
+    ASSERT_TRUE(latest.has_value());
+    EXPECT_EQ(latest->iter, 4);
+    const DistTrainResult resumed = train(stop_dir, -1);
+    EXPECT_EQ(resumed.resumed_from_iter, 4);
+    EXPECT_TRUE(resumed.replicas_consistent);
+    EXPECT_EQ(resumed.params_hash, ref.params_hash);
+    std::filesystem::remove_all(dir);
+    std::filesystem::remove_all(stop_dir);
   }
 }
 

@@ -1,5 +1,5 @@
 // Algorithm 1 unit tests: stationarity detection, per-module tolerance, unfreeze on
-// LR drop with window halving, protected tail, cyclical-schedule hook.
+// LR drop with window halving, protected tail, no unfreeze without annealing.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -157,18 +157,13 @@ TEST(FreezingPolicy, NoUnfreezeWithoutPriorFreeze) {
   EXPECT_FALSE(policy.OnLr(1e-9F, 10).has_value());
 }
 
-TEST(FreezingPolicy, CyclicalHookDrivesUnfreeze) {
+TEST(FreezingPolicy, NonAnnealingScheduleNeverUnfreezes) {
   FreezingPolicy policy(SmallConfig(), 4, /*annealing=*/false);
   std::vector<double> plateau(30, 0.5);
   FeedSeries(policy, 0, plateau);
   ASSERT_EQ(policy.frontier(), 1);
-  // Without a hook, non-annealing schedules never unfreeze.
   EXPECT_FALSE(policy.OnLr(1e-9F, 100).has_value());
-  policy.SetCyclicalHook([](float lr, int64_t) { return lr > 0.5F; });
-  EXPECT_FALSE(policy.OnLr(0.1F, 200).has_value());
-  auto d = policy.OnLr(0.9F, 300);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(policy.frontier(), 0);
+  EXPECT_EQ(policy.frontier(), 1);
 }
 
 TEST(FreezingPolicy, FlatFromStartUsesToleranceFloor) {
